@@ -2,7 +2,7 @@
 
 Each criterion is a function returning (passed, details) where details is a
 JSON-ready dict with no timing data, so reports are byte-identical across
-runs and worker counts.  Timings are collected separately.
+runs.  Timings are collected separately.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _random_unit(ring, field_kind, rng):
     return ring.from_scalar(c)
 
 
-def criterion_1_transitivity(workers=None):
+def criterion_1_transitivity():
     """T^2 = nT, blow-ups stay transitive, factor/rebuild round-trips."""
     rng = random.Random(SEED + 1)
     contexts = [
@@ -64,7 +64,7 @@ def criterion_1_transitivity(workers=None):
     return True, {"matrices_checked": checked, "per_context": per_context}
 
 
-def criterion_2_theta(workers=None):
+def criterion_2_theta():
     """Theta_T multiplicativity for transitive central T, plus an explicit
     matrix-unit counterexample for a non-transitive T."""
     rng = random.Random(SEED + 2)
@@ -101,7 +101,7 @@ def criterion_2_theta(workers=None):
                   "counterexample_found": True}
 
 
-def criterion_3_oracle_equivalence(workers=None):
+def criterion_3_oracle_equivalence():
     """sdet = n! det and A* = (n-1)! adj over the commutative oracle with
     fully symbolic entries, n = 2, 3, 4."""
     details = {}
@@ -113,15 +113,15 @@ def criterion_3_oracle_equivalence(workers=None):
         nfact = 1
         for i in range(2, n + 1):
             nfact *= i
-        if dets.sdet(A, workers) != classical_det(A) * nfact:
+        if dets.sdet(A) != classical_det(A) * nfact:
             return False, {"failure": f"sdet vs det at n={n}"}
-        if dets.preadjoint(A, workers) != classical_adj(A).scalar_mul(nfact // n):
+        if dets.preadjoint(A) != classical_adj(A).scalar_mul(nfact // n):
             return False, {"failure": f"preadjoint vs adj at n={n}"}
         details[f"n={n}"] = "sdet=n!det and A*=(n-1)!adj"
     return True, details
 
 
-def criterion_4_minor_identity(workers=None):
+def criterion_4_minor_identity():
     """Preadjoint entries equal signed sdet of minors over E (g=6)."""
     rng = random.Random(SEED + 4)
     E = GrassmannAlgebra(6, QQ)
@@ -131,7 +131,7 @@ def criterion_4_minor_identity(workers=None):
         n = rng.choice([2, 3, 4])
         A = Matrix(E, [[E.random_element(rng) for _ in range(n)]
                        for _ in range(n)])
-        if dets.preadjoint(A, workers) != dets.preadjoint_via_minors(A):
+        if dets.preadjoint(A) != dets.preadjoint_via_minors(A):
             return False, {"failure": f"minor identity at n={n}"}
         per_n[n] += 1
         count += 1
@@ -152,7 +152,7 @@ def _example_specs(g=4):
     return specs
 
 
-def criterion_5_closure(workers=None):
+def criterion_5_closure():
     """A* stays a member for sampled members of every example spec."""
     rng = random.Random(SEED + 5)
     details = {}
@@ -160,13 +160,13 @@ def criterion_5_closure(workers=None):
         bases = shape(spec)
         for _ in range(50):
             A = sample_supermatrix(spec, rng, bases)
-            if not is_supermatrix(spec, dets.preadjoint(A, workers)):
+            if not is_supermatrix(spec, dets.preadjoint(A)):
                 return False, {"failure": f"preadjoint closure on {name}"}
         details[name] = 50
     return True, details
 
 
-def criterion_6_fixed_ring(workers=None):
+def criterion_6_fixed_ring():
     """rdet/ldet (k <= 2) and characteristic polynomial coefficients of
     sampled members lie in the fixed ring, exactly."""
     rng = random.Random(SEED + 6)
@@ -177,21 +177,21 @@ def criterion_6_fixed_ring(workers=None):
         for _ in range(5):
             A = sample_supermatrix(spec, rng, bases)
             for k in (1, 2):
-                if not fixed_ring_member(delta, dets.rdet(A, k, workers)):
+                if not fixed_ring_member(delta, dets.rdet(A, k)):
                     return False, {"failure": f"rdet_({k}) on {name}"}
-                if not fixed_ring_member(delta, dets.ldet(A, k, workers)):
+                if not fixed_ring_member(delta, dets.ldet(A, k)):
                     return False, {"failure": f"ldet_({k}) on {name}"}
             k_values = (1, 2) if spec.n == 2 else (1,)
             for k in k_values:
                 for side in ("right", "left"):
-                    p = dets.charpoly(A, k, side=side, workers=workers)
+                    p = dets.charpoly(A, k, side=side)
                     if not all(fixed_ring_member(delta, c) for c in p.coeffs):
                         return False, {"failure": f"charpoly k={k} {side} on {name}"}
         details[name] = {"samples": 5}
     return True, details
 
 
-def criterion_7_cayley_hamilton(workers=None, slow=False):
+def criterion_7_cayley_hamilton(slow=False):
     """Degree-4 right Cayley-Hamilton residual vanishes on M_2(E, eps, P);
     leading coefficient matches the closed form."""
     rng = random.Random(SEED + 7)
@@ -201,7 +201,7 @@ def criterion_7_cayley_hamilton(workers=None, slow=False):
         return False, {"failure": "closed form at (n,k)=(2,2)"}
     for _ in range(25):
         A = sample_supermatrix(spec, rng, bases)
-        p = dets.charpoly(A, 2, workers=workers)
+        p = dets.charpoly(A, 2)
         if p.coeffs[-1] != spec.ring.from_scalar(2):
             return False, {"failure": "leading coefficient"}
         res = p.subst_right_matrix(A)
@@ -211,14 +211,14 @@ def criterion_7_cayley_hamilton(workers=None, slow=False):
     if slow:
         spec3 = example_5_2(3, 4)
         A = sample_supermatrix(spec3, random.Random(SEED + 70), shape(spec3))
-        res = dets.cayley_hamilton_check(A, 2, workers=workers)
+        res = dets.cayley_hamilton_check(A, 2)
         if any(e for row in res.rows for e in row):
             return False, {"failure": "nonzero residual at n=3 k=2"}
         details["n3_k2_degree9"] = "residual zero"
     return True, details
 
 
-def criterion_8_embedding(workers=None):
+def criterion_8_embedding():
     """Embedding laws on 100 random pairs for (E, eps, P, n=2) and
     (E, rho_e, P^(e), n=3) over Q(zeta3); condition report all-true for
     P^(e) with the inverse-sum redundancy flagged."""
@@ -242,7 +242,7 @@ def criterion_8_embedding(workers=None):
     return True, {"pairs_per_spec": 100, "conditions": d}
 
 
-def criterion_9_integrality(workers=None):
+def criterion_9_integrality():
     """Degree-4 certificates (n=2, k=2, delta=eps) for random Grassmann
     elements: coefficients even, substitution zero on both sides."""
     rng = random.Random(SEED + 9)
@@ -250,7 +250,7 @@ def criterion_9_integrality(workers=None):
     eps = epsilon(E, validate=False)
     for _ in range(10):
         r = E.random_element(rng)
-        cert = dets.integrality_certificate(r, eps, 2, 2, workers=workers)
+        cert = dets.integrality_certificate(r, eps, 2, 2)
         if not (cert.right_holds and cert.left_holds):
             return False, {"failure": "substitution residual nonzero"}
         if not cert.coefficients_fixed:
@@ -261,7 +261,7 @@ def criterion_9_integrality(workers=None):
     return True, {"elements": 10, "degree": 4}
 
 
-def criterion_10_shapes(workers=None):
+def criterion_10_shapes():
     """Solver shapes match the graded decomposition for the root-of-unity
     grading, and the sigma-conjugation shape characterizations hold."""
     for n in (2, 3):
@@ -311,16 +311,16 @@ CORE_CRITERIA = [
 ]
 
 
-def run_core(workers=None, slow=False):
+def run_core(slow=False):
     """Run criteria 1-10; returns (results, timings)."""
     results = []
     timings = {}
     for num, name, fn in CORE_CRITERIA:
         t0 = time.perf_counter()
         if fn is criterion_7_cayley_hamilton:
-            passed, details = fn(workers=workers, slow=slow)
+            passed, details = fn(slow=slow)
         else:
-            passed, details = fn(workers=workers)
+            passed, details = fn()
         timings[str(num)] = time.perf_counter() - t0
         results.append({"criterion": num, "name": name,
                         "passed": bool(passed), "details": details})
@@ -331,17 +331,15 @@ def canonical_report(results):
     return json.dumps(results, sort_keys=True, separators=(",", ":"))
 
 
-def reproduce_all(workers=None, slow=False, determinism_workers=4):
+def reproduce_all(slow=False):
     """Full acceptance run: criteria 1-10 plus the determinism criterion,
-    which reruns the suite at a different worker count and compares the
-    canonical report bytes."""
-    results, timings = run_core(workers=workers, slow=slow)
+    which reruns the suite and compares the canonical report bytes."""
+    results, timings = run_core(slow=slow)
     t0 = time.perf_counter()
-    alt_results, _ = run_core(workers=determinism_workers, slow=slow)
-    identical = canonical_report(results) == canonical_report(alt_results)
+    rerun, _ = run_core(slow=slow)
+    identical = canonical_report(results) == canonical_report(rerun)
     timings["11"] = time.perf_counter() - t0
     results.append({"criterion": 11, "name": "determinism",
                     "passed": identical,
-                    "details": {"workers_compared": [workers or 1,
-                                                     determinism_workers]}})
+                    "details": {"runs_compared": 2}})
     return {"results": results, "all_passed": all(r["passed"] for r in results)}, timings

@@ -34,11 +34,15 @@ EXIT_COST_CAP = 3
 def _load(path):
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SerializationError(f"cannot read JSON input: {exc}")
+    if not isinstance(doc, dict):
+        raise SerializationError("JSON input must be an object")
+    return doc
 
 
 def _emit(doc, pretty=False):
@@ -203,8 +207,7 @@ def cmd_example(args):
 
 
 def cmd_reproduce_all(args):
-    report, timings = acceptance.reproduce_all(workers=args.workers,
-                                               slow=args.slow)
+    report, timings = acceptance.reproduce_all(slow=args.slow)
     payload = acceptance.canonical_report(report["results"])
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -295,7 +298,6 @@ def build_parser():
 
     p = add("reproduce-all", cmd_reproduce_all,
             help="run the full acceptance suite")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--slow", action="store_true",
                    help="include the degree-9 Cayley-Hamilton instance")
     p.add_argument("--report", default=None,

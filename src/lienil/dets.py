@@ -2,8 +2,8 @@
 right/left adjoint sequences and determinants, characteristic polynomials,
 Cayley-Hamilton residuals, and integrality certificates.
 
-All permutation sums follow the position order t = 1..n; the double sum is
-evaluated through a deterministic chunked map-reduce.
+All permutation sums follow the position order t = 1..n; the double sum
+adds its terms left to right in the order the permutations are enumerated.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import permutations
 
 from .matrices import Matrix, MatrixError
 from .parallel import map_reduce_sum
-from .rings import PolynomialRing, RingError, fixed_ring_member
+from .rings import PolynomialRing, RingError, fixed_ring_member, substitute
 from .supermatrix import SuperAlgebraSpec, embed, p_matrix
 
 HARD_MAX_N = 6
@@ -51,7 +51,7 @@ def _sign(perm):
     return -1 if inv & 1 else 1
 
 
-def sdet(A, workers=None):
+def sdet(A):
     """sum over alpha, beta in S_n of sgn(alpha) sgn(beta)
     a_{alpha(1),beta(1)} ... a_{alpha(n),beta(n)}."""
     _require_square(A, "sdet")
@@ -68,7 +68,7 @@ def sdet(A, workers=None):
             prod = prod * A.rows[pa[t]][pb[t]]
         return prod if sa * sb > 0 else -prod
 
-    return map_reduce_sum(pairs, term, ring.zero, workers=workers)
+    return map_reduce_sum(pairs, term, ring.zero)
 
 
 def sdet_first_form(A):
@@ -87,7 +87,7 @@ def sdet_first_form(A):
     return acc
 
 
-def preadjoint(A, workers=None):
+def preadjoint(A):
     """A*: entry (r, s) is the constrained double permutation sum with
     alpha(s) = s and beta(s) = r, enumerated over S_{n-1} on the free
     positions and spliced back into full permutations."""
@@ -98,13 +98,13 @@ def preadjoint(A, workers=None):
     for r in range(n):
         row = []
         for s in range(n):
-            row.append(_preadjoint_entry(A, r, s, workers))
+            row.append(_preadjoint_entry(A, r, s))
         rows.append(row)
     # transpose of the (r, s) table: a*_{r,s} sits at row r, column s already
     return Matrix(ring, rows)
 
 
-def _preadjoint_entry(A, r, s, workers=None):
+def _preadjoint_entry(A, r, s):
     n = A.nrows
     ring = A.ring
     free = [t for t in range(n) if t != s]      # positions and alpha-targets
@@ -129,7 +129,7 @@ def _preadjoint_entry(A, r, s, workers=None):
             prod = prod * A.rows[alpha[t]][beta[t]]
         return prod if sa * sb > 0 else -prod
 
-    return map_reduce_sum(items, term, ring.zero, workers=workers)
+    return map_reduce_sum(items, term, ring.zero)
 
 
 def preadjoint_via_minors(A):
@@ -157,38 +157,38 @@ class AdjointSequence:
     products: list            # A P_1...P_j (resp. Q_j...Q_1 A) for j = 1..k
 
 
-def right_adjoint_sequence(A, k, workers=None):
+def right_adjoint_sequence(A, k):
     """P_1 = A*, P_{j+1} = (A P_1...P_j)*."""
     if k < 1:
         raise RingError("k must be >= 1")
-    adjoints = [preadjoint(A, workers)]
+    adjoints = [preadjoint(A)]
     products = [A * adjoints[0]]
     for _ in range(1, k):
-        adjoints.append(preadjoint(products[-1], workers))
+        adjoints.append(preadjoint(products[-1]))
         products.append(products[-1] * adjoints[-1])
     return AdjointSequence("right", adjoints, products)
 
 
-def left_adjoint_sequence(A, k, workers=None):
+def left_adjoint_sequence(A, k):
     """Q_1 = A*, Q_{j+1} = (Q_j...Q_1 A)*."""
     if k < 1:
         raise RingError("k must be >= 1")
-    adjoints = [preadjoint(A, workers)]
+    adjoints = [preadjoint(A)]
     products = [adjoints[0] * A]
     for _ in range(1, k):
-        adjoints.append(preadjoint(products[-1], workers))
+        adjoints.append(preadjoint(products[-1]))
         products.append(adjoints[-1] * products[-1])
     return AdjointSequence("left", adjoints, products)
 
 
-def rdet(A, k, workers=None):
+def rdet(A, k):
     """tr(A P_1 ... P_k)."""
-    return right_adjoint_sequence(A, k, workers).products[-1].trace()
+    return right_adjoint_sequence(A, k).products[-1].trace()
 
 
-def ldet(A, k, workers=None):
+def ldet(A, k):
     """tr(Q_k ... Q_1 A)."""
-    return left_adjoint_sequence(A, k, workers).products[-1].trace()
+    return left_adjoint_sequence(A, k).products[-1].trace()
 
 
 def leading_coefficient_value(n, k):
@@ -213,45 +213,18 @@ class CharPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def subst_right(self, x):
-        acc = x.ring.zero
-        power = x.ring.one
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = power * x
-            acc = acc + power * c
-        return acc
-
-    def subst_left(self, x):
-        acc = x.ring.zero
-        power = x.ring.one
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = power * x
-            acc = acc + c * power
-        return acc
-
     def subst_right_matrix(self, A):
         """I lambda_0 + A lambda_1 + ... with matrix powers on the left."""
-        acc = Matrix.zeros(A.ring, A.nrows)
-        power = Matrix.identity(A.ring, A.nrows)
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = power * A
-            acc = acc + power * c
-        return acc
+        return substitute(self.coeffs, A, Matrix.identity(A.ring, A.nrows),
+                          "right")
 
     def subst_left_matrix(self, A):
-        acc = Matrix.zeros(A.ring, A.nrows)
-        power = Matrix.identity(A.ring, A.nrows)
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = power * A
-            acc = acc + c * power
-        return acc
+        """lambda_0 I + lambda_1 A + ... with matrix powers on the right."""
+        return substitute(self.coeffs, A, Matrix.identity(A.ring, A.nrows),
+                          "left")
 
 
-def charpoly(A, k, side="right", workers=None):
+def charpoly(A, k, side="right"):
     """p_{A,k}(z) = rdet_(k)(z I - A) (resp. ldet for the left side),
     computed by lifting A to R[z] and reusing the generic determinant code."""
     _require_square(A, "charpoly")
@@ -263,7 +236,7 @@ def charpoly(A, k, side="right", workers=None):
     lifted = A.map_entries(rz.constant, ring=rz)
     zI = Matrix.identity(rz, n) * rz.z
     B = zI - lifted
-    value = rdet(B, k, workers) if side == "right" else ldet(B, k, workers)
+    value = rdet(B, k) if side == "right" else ldet(B, k)
     deg = n ** k
     coeffs = [value.coeff(i) for i in range(deg + 1)]
     lead = ring.from_scalar(leading_coefficient_value(n, k))
@@ -272,10 +245,10 @@ def charpoly(A, k, side="right", workers=None):
     return CharPoly(ring=ring, coeffs=coeffs, side=side, k=k, n=n)
 
 
-def cayley_hamilton_check(A, k, side="right", workers=None):
+def cayley_hamilton_check(A, k, side="right"):
     """Residual of the degree-n^k Cayley-Hamilton identity; zero when the
     entry ring is Lie nilpotent of index k (right side)."""
-    p = charpoly(A, k, side=side, workers=workers)
+    p = charpoly(A, k, side=side)
     if side == "right":
         return p.subst_right_matrix(A)
     return p.subst_left_matrix(A)
@@ -303,7 +276,7 @@ class IntegralityCertificate:
         return not self.left_residual
 
 
-def integrality_certificate(r, delta, n, k, workers=None):
+def integrality_certificate(r, delta, n, k):
     """Thm-style certificate: embed r via the root-of-unity transitive
     matrix, take the k-th characteristic polynomials of the image, and
     normalize by the invertible integer leading coefficient."""
@@ -315,8 +288,8 @@ def integrality_certificate(r, delta, n, k, workers=None):
     lead = leading_coefficient_value(n, k)
     N = n ** k
 
-    p = charpoly(A, k, side="right", workers=workers)
-    q = charpoly(A, k, side="left", workers=workers)
+    p = charpoly(A, k, side="right")
+    q = charpoly(A, k, side="left")
     from fractions import Fraction
     inv_lead = ring.from_scalar(Fraction(1, lead))
     right = [c * inv_lead for c in p.coeffs[:N]]
@@ -324,26 +297,8 @@ def integrality_certificate(r, delta, n, k, workers=None):
 
     fixed = all(fixed_ring_member(delta, c) for c in right + left)
 
-    r_res = ring.zero
-    power = ring.one
-    for i in range(N + 1):
-        if i:
-            power = power * r
-        if i < N:
-            r_res = r_res + power * right[i]
-        else:
-            r_res = r_res + power
-    l_res = ring.zero
-    power = ring.one
-    for i in range(N + 1):
-        if i:
-            power = power * r
-        if i < N:
-            l_res = l_res + left[i] * power
-        else:
-            l_res = l_res + power
-
     return IntegralityCertificate(
         degree=N, right_coeffs=right, left_coeffs=left,
-        right_residual=r_res, left_residual=l_res,
+        right_residual=substitute(right + [ring.one], r, ring.one, "right"),
+        left_residual=substitute(left + [ring.one], r, ring.one, "left"),
         coefficients_fixed=fixed)

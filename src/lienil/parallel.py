@@ -1,45 +1,15 @@
-"""Deterministic chunked map-reduce for the permutation double sums.
+"""The reduction behind the permutation double sums.
 
-Terms are split into fixed-size chunks; each chunk is summed left to right
-and chunk results are combined in chunk order, so the reduction tree is
-identical for any worker count.  Workers default to the LIENIL_WORKERS
-environment variable (sequential when unset or <= 1).
+Terms are added left to right in the order the items arrive, so the result
+is the same on every run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 
-DEFAULT_CHUNK = 64
-
-
-def worker_count():
-    try:
-        return max(1, int(os.environ.get("LIENIL_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def map_reduce_sum(items, term, zero, workers=None, chunk_size=DEFAULT_CHUNK):
-    """sum(term(x) for x in items) with a deterministic reduction order."""
-    items = list(items)
-    if workers is None:
-        workers = worker_count()
-
-    def chunk_sum(chunk):
-        acc = zero
-        for x in chunk:
-            acc = acc + term(x)
-        return acc
-
-    chunks = [items[i:i + chunk_size] for i in range(0, len(items), chunk_size)]
-    if workers <= 1 or len(chunks) <= 1:
-        partials = [chunk_sum(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk_sum, chunks))
+def map_reduce_sum(items, term, zero):
+    """sum(term(x) for x in items), added left to right starting from zero."""
     acc = zero
-    for p in partials:
-        acc = acc + p
+    for x in items:
+        acc = acc + term(x)
     return acc

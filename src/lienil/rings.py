@@ -306,26 +306,27 @@ class RPolynomial:
 
     def subst_right(self, x):
         """Sum x^i * c_i with the coefficients on the right."""
-        acc = x.ring.zero
-        power = x.ring.one
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = power * x
-            acc = acc + power * c
-        return acc
+        return substitute(self.coeffs, x, x.ring.one, "right")
 
     def subst_left(self, x):
         """Sum c_i * x^i with the coefficients on the left."""
-        acc = x.ring.zero
-        power = x.ring.one
-        for i, c in enumerate(self.coeffs):
-            if i:
-                power = power * x
-            acc = acc + c * power
-        return acc
+        return substitute(self.coeffs, x, x.ring.one, "left")
 
     def __repr__(self):
         return f"RPolynomial({list(self.coeffs)!r})"
+
+
+def substitute(coeffs, x, one, side):
+    """Sum x^i c_i (side "right") or c_i x^i (side "left") over the
+    coefficients c_0, c_1, ..., with x^0 = one; x may be a ring element or a
+    square matrix, with one its identity."""
+    acc = one - one
+    power = one
+    for i, c in enumerate(coeffs):
+        if i:
+            power = power * x
+        acc = acc + (power * c if side == "right" else c * power)
+    return acc
 
 
 def extend_endomorphism_to_poly(delta):

@@ -9,6 +9,8 @@ term) and values are scalar text forms.  Matrices: {"n": 2, "entries":
 
 from __future__ import annotations
 
+import sympy
+
 from .grassmann import (GrassmannAlgebra, GrassmannElement, epsilon,
                         endomorphism_from_generator_images, rho, sigma)
 from .matrices import Matrix, TransitiveMatrix
@@ -19,6 +21,9 @@ from .supermatrix import SuperAlgebraSpec
 
 class SerializationError(RingError):
     pass
+
+
+_NOT_FINITE = (sympy.zoo, sympy.nan, sympy.oo, -sympy.oo)
 
 
 # --- Grassmann elements ---
@@ -74,9 +79,15 @@ def element_from_json(ring, doc):
     if isinstance(ring, GrassmannAlgebra):
         if isinstance(doc, str):
             return ring.from_scalar(parse_scalar(ring.field, doc))
-        return grassmann_from_json(ring, doc)
+        if isinstance(doc, dict):
+            return grassmann_from_json(ring, doc)
+        raise SerializationError(
+            f"a Grassmann element must be a string or an object, not {doc!r}")
     if isinstance(ring, OracleRing):
-        return ring.element(doc)
+        x = ring.element(doc)
+        if x.expr.has(*_NOT_FINITE):
+            raise SerializationError(f"oracle entry {doc!r} is not finite")
+        return x
     raise SerializationError(f"no JSON decoding for ring {ring!r}")
 
 
@@ -88,7 +99,10 @@ def matrix_to_json(A):
 
 
 def matrix_from_json(ring, doc):
-    entries = doc["entries"]
+    entries = doc["entries"] if isinstance(doc, dict) else None
+    if not (isinstance(entries, list)
+            and all(isinstance(row, list) for row in entries)):
+        raise SerializationError("matrix entries must be a list of lists")
     return Matrix(ring, [[element_from_json(ring, e) for e in row]
                          for row in entries])
 

@@ -2,6 +2,7 @@
 criterion and the slow degree-9 Cayley-Hamilton instance."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from lienil.acceptance import (canonical_report, criterion_1_transitivity,
                                criterion_8_embedding,
                                criterion_9_integrality,
                                criterion_10_shapes)
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_all_report.json"
 
 
 def check(fn, **kwargs):
@@ -63,14 +66,16 @@ def test_criterion_10_shapes():
 
 
 def test_criterion_11_determinism():
-    """Reports are byte-identical across worker counts (reproduce_all reruns
-    the whole suite at a different worker count and compares the bytes)."""
-    report, timings = acceptance.reproduce_all(workers=1)
+    """Reports are byte-identical across runs (reproduce_all reruns the
+    whole suite and compares the bytes) and equal the committed report."""
+    report, timings = acceptance.reproduce_all()
     assert report["all_passed"]
     nums = [r["criterion"] for r in report["results"]]
     assert nums == list(range(1, 12))
     # timings never leak into the canonical report
     assert "time" not in canonical_report(report["results"])
+    assert canonical_report(report["results"]) == GOLDEN_REPORT.read_text(
+        encoding="utf-8")
 
 
 @pytest.mark.slow

@@ -128,9 +128,18 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["sdet", missing]) == 2
     capsys.readouterr()
-    bad = write(tmp_path, "bad.json", {"ring": {"type": "mystery"}})
-    assert main(["sdet", bad]) == 2
-    capsys.readouterr()
+    malformed = [
+        {"ring": {"type": "mystery"}},
+        [1, 2, 3],
+        {"ring": GRING, "matrix": {"n": 2, "entries": [[1, 2], [3, 4]]}},
+        {"ring": GRING, "matrix": {"n": 1, "entries": ["1"]}},
+    ] + [{"ring": {"type": "oracle", "variables": ["a"]},
+          "matrix": {"n": 1, "entries": [[text]]}}
+         for text in ("1/0", "0/0", "a - oo", "a/0")]
+    for i, doc in enumerate(malformed):
+        bad = write(tmp_path, f"bad{i}.json", doc)
+        assert main(["sdet", bad]) == 2, doc
+        capsys.readouterr()
 
 
 def test_cost_cap_exit_code(tmp_path, capsys):
