@@ -28,7 +28,7 @@ def main():
     print(f"charpoly degree: {p.degree}")
     for i, c in enumerate(p.coeffs):
         print(f"  lambda_{i} = {c}")
-    res = p.subst_right_matrix(A)
+    res = p.subst_matrix(A)
     zero = not any(e for row in res.rows for e in row)
     print(f"residual zero: {zero}")
     return 0 if zero else 1

@@ -25,9 +25,9 @@ from .supermatrix import (EmbeddingConditionsReport, SuperAlgebraSpec,
                           example_algebra, hadamard_identity, is_supermatrix,
                           p_matrix, sample_supermatrix, shape, verify_embedding)
 from .dets import (AdjointSequence, CharPoly, CostCapError,
-                   IntegralityCertificate, cayley_hamilton_check, charpoly,
-                   integrality_certificate, ldet, leading_coefficient_value,
-                   left_adjoint_sequence, preadjoint, preadjoint_via_minors,
-                   rdet, right_adjoint_sequence, sdet, sdet_first_form)
+                   IntegralityCertificate, adjoint_sequence,
+                   cayley_hamilton_check, charpoly, integrality_certificate,
+                   ldet, leading_coefficient_value, preadjoint,
+                   preadjoint_via_minors, rdet, sdet, sdet_first_form)
 
 __version__ = "0.1.0"

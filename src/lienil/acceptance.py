@@ -204,7 +204,7 @@ def criterion_7_cayley_hamilton(slow=False):
         p = dets.charpoly(A, 2)
         if p.coeffs[-1] != spec.ring.from_scalar(2):
             return False, {"failure": "leading coefficient"}
-        res = p.subst_right_matrix(A)
+        res = p.subst_matrix(A)
         if any(e for row in res.rows for e in row):
             return False, {"failure": "nonzero residual at n=2 k=2"}
     details = {"n2_k2_matrices": 25, "leading_coefficient": 2}

@@ -8,7 +8,6 @@ adds its terms left to right in the order the permutations are enumerated.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -17,28 +16,19 @@ from .parallel import map_reduce_sum
 from .rings import PolynomialRing, RingError, fixed_ring_member, substitute
 from .supermatrix import SuperAlgebraSpec, embed, p_matrix
 
-HARD_MAX_N = 6
-DEFAULT_MAX_N = 5
+MAX_N = 5                 # the (n!)^2 enumerations stop here
 
 
 class CostCapError(RingError):
     pass
 
 
-def enumeration_cap():
-    try:
-        cap = int(os.environ.get("LIENIL_MAX_N", str(DEFAULT_MAX_N)))
-    except ValueError:
-        cap = DEFAULT_MAX_N
-    return min(max(cap, 1), HARD_MAX_N)
-
-
 def _require_square(A, what):
     if not A.is_square:
         raise MatrixError(f"{what} needs a square matrix")
-    if A.nrows > enumeration_cap():
+    if A.nrows > MAX_N:
         raise CostCapError(
-            f"{what}: n={A.nrows} exceeds the enumeration cap {enumeration_cap()}")
+            f"{what}: n={A.nrows} exceeds the enumeration cap {MAX_N}")
 
 
 def _sign(perm):
@@ -51,24 +41,38 @@ def _sign(perm):
     return -1 if inv & 1 else 1
 
 
-def sdet(A):
-    """sum over alpha, beta in S_n of sgn(alpha) sgn(beta)
-    a_{alpha(1),beta(1)} ... a_{alpha(n),beta(n)}."""
-    _require_square(A, "sdet")
+def _pair_sum(A, fixed=None):
+    """sum over alpha, beta in S_n of sgn(alpha) sgn(beta) times
+    a_{alpha(t),beta(t)} over the positions t in order.  With fixed = (s, r)
+    only the pairs with alpha(s) = s and beta(s) = r count, and position s
+    is left out of the product."""
     n = A.nrows
     ring = A.ring
-    idx = tuple(range(n))
-    perms = [(p, _sign(p)) for p in permutations(idx)]
-    pairs = [(pa, sa, pb, sb) for pa, sa in perms for pb, sb in perms]
+    perms = [(p, _sign(p)) for p in permutations(range(n))]
+    alphas = betas = perms
+    positions = range(n)
+    if fixed is not None:
+        s, r = fixed
+        alphas = [(p, sp) for p, sp in perms if p[s] == s]
+        betas = [(p, sp) for p, sp in perms if p[s] == r]
+        positions = [t for t in positions if t != s]
+    pairs = [(pa, sa, pb, sb) for pa, sa in alphas for pb, sb in betas]
 
     def term(item):
         pa, sa, pb, sb = item
         prod = ring.one
-        for t in range(n):
+        for t in positions:
             prod = prod * A.rows[pa[t]][pb[t]]
         return prod if sa * sb > 0 else -prod
 
     return map_reduce_sum(pairs, term, ring.zero)
+
+
+def sdet(A):
+    """sum over alpha, beta in S_n of sgn(alpha) sgn(beta)
+    a_{alpha(1),beta(1)} ... a_{alpha(n),beta(n)}."""
+    _require_square(A, "sdet")
+    return _pair_sum(A)
 
 
 def sdet_first_form(A):
@@ -88,48 +92,12 @@ def sdet_first_form(A):
 
 
 def preadjoint(A):
-    """A*: entry (r, s) is the constrained double permutation sum with
-    alpha(s) = s and beta(s) = r, enumerated over S_{n-1} on the free
-    positions and spliced back into full permutations."""
+    """A*: entry (r, s) is the double permutation sum restricted to
+    alpha(s) = s and beta(s) = r, with position s left out."""
     _require_square(A, "preadjoint")
     n = A.nrows
-    ring = A.ring
-    rows = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            row.append(_preadjoint_entry(A, r, s))
-        rows.append(row)
-    # transpose of the (r, s) table: a*_{r,s} sits at row r, column s already
-    return Matrix(ring, rows)
-
-
-def _preadjoint_entry(A, r, s):
-    n = A.nrows
-    ring = A.ring
-    free = [t for t in range(n) if t != s]      # positions and alpha-targets
-    beta_targets = [t for t in range(n) if t != r]
-    items = []
-    for pa in permutations(free):
-        alpha = list(range(n))
-        for pos, val in zip(free, pa):
-            alpha[pos] = val
-        sa = _sign(tuple(alpha))
-        for pb in permutations(beta_targets):
-            beta = list(range(n))
-            beta[s] = r
-            for pos, val in zip(free, pb):
-                beta[pos] = val
-            items.append((tuple(alpha), sa, tuple(beta), _sign(tuple(beta))))
-
-    def term(item):
-        alpha, sa, beta, sb = item
-        prod = ring.one
-        for t in free:
-            prod = prod * A.rows[alpha[t]][beta[t]]
-        return prod if sa * sb > 0 else -prod
-
-    return map_reduce_sum(items, term, ring.zero)
+    return Matrix(A.ring, [[_pair_sum(A, (s, r)) for s in range(n)]
+                           for r in range(n)])
 
 
 def preadjoint_via_minors(A):
@@ -157,38 +125,31 @@ class AdjointSequence:
     products: list            # A P_1...P_j (resp. Q_j...Q_1 A) for j = 1..k
 
 
-def right_adjoint_sequence(A, k):
-    """P_1 = A*, P_{j+1} = (A P_1...P_j)*."""
+def adjoint_sequence(A, k, side="right"):
+    """Right: P_1 = A*, P_{j+1} = (A P_1...P_j)*.
+    Left: Q_1 = A*, Q_{j+1} = (Q_j...Q_1 A)*."""
+    if side not in ("right", "left"):
+        raise RingError("side must be 'right' or 'left'")
     if k < 1:
         raise RingError("k must be >= 1")
-    adjoints = [preadjoint(A)]
-    products = [A * adjoints[0]]
-    for _ in range(1, k):
-        adjoints.append(preadjoint(products[-1]))
-        products.append(products[-1] * adjoints[-1])
-    return AdjointSequence("right", adjoints, products)
-
-
-def left_adjoint_sequence(A, k):
-    """Q_1 = A*, Q_{j+1} = (Q_j...Q_1 A)*."""
-    if k < 1:
-        raise RingError("k must be >= 1")
-    adjoints = [preadjoint(A)]
-    products = [adjoints[0] * A]
-    for _ in range(1, k):
-        adjoints.append(preadjoint(products[-1]))
-        products.append(adjoints[-1] * products[-1])
-    return AdjointSequence("left", adjoints, products)
+    adjoints, products = [], []
+    product = A
+    for _ in range(k):
+        adjoints.append(preadjoint(product))
+        product = (product * adjoints[-1] if side == "right"
+                   else adjoints[-1] * product)
+        products.append(product)
+    return AdjointSequence(side, adjoints, products)
 
 
 def rdet(A, k):
     """tr(A P_1 ... P_k)."""
-    return right_adjoint_sequence(A, k).products[-1].trace()
+    return adjoint_sequence(A, k).products[-1].trace()
 
 
 def ldet(A, k):
     """tr(Q_k ... Q_1 A)."""
-    return left_adjoint_sequence(A, k).products[-1].trace()
+    return adjoint_sequence(A, k, "left").products[-1].trace()
 
 
 def leading_coefficient_value(n, k):
@@ -213,30 +174,25 @@ class CharPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def subst_right_matrix(self, A):
-        """I lambda_0 + A lambda_1 + ... with matrix powers on the left."""
+    def subst_matrix(self, A):
+        """The polynomial at the square matrix A, on its own side:
+        I lambda_0 + A lambda_1 + ... (right) or lambda_0 I + lambda_1 A + ...
+        (left)."""
         return substitute(self.coeffs, A, Matrix.identity(A.ring, A.nrows),
-                          "right")
-
-    def subst_left_matrix(self, A):
-        """lambda_0 I + lambda_1 A + ... with matrix powers on the right."""
-        return substitute(self.coeffs, A, Matrix.identity(A.ring, A.nrows),
-                          "left")
+                          self.side)
 
 
 def charpoly(A, k, side="right"):
     """p_{A,k}(z) = rdet_(k)(z I - A) (resp. ldet for the left side),
     computed by lifting A to R[z] and reusing the generic determinant code."""
     _require_square(A, "charpoly")
-    if side not in ("right", "left"):
-        raise RingError("side must be 'right' or 'left'")
     ring = A.ring
     rz = PolynomialRing(ring)
     n = A.nrows
     lifted = A.map_entries(rz.constant, ring=rz)
     zI = Matrix.identity(rz, n) * rz.z
     B = zI - lifted
-    value = rdet(B, k) if side == "right" else ldet(B, k)
+    value = adjoint_sequence(B, k, side).products[-1].trace()
     deg = n ** k
     coeffs = [value.coeff(i) for i in range(deg + 1)]
     lead = ring.from_scalar(leading_coefficient_value(n, k))
@@ -248,10 +204,7 @@ def charpoly(A, k, side="right"):
 def cayley_hamilton_check(A, k, side="right"):
     """Residual of the degree-n^k Cayley-Hamilton identity; zero when the
     entry ring is Lie nilpotent of index k (right side)."""
-    p = charpoly(A, k, side=side)
-    if side == "right":
-        return p.subst_right_matrix(A)
-    return p.subst_left_matrix(A)
+    return charpoly(A, k, side=side).subst_matrix(A)
 
 
 @dataclass

@@ -120,10 +120,10 @@ class GrassmannAlgebra(Ring):
     def generating_set(self):
         return self.generators
 
-    def random_element(self, rng, max_terms=4):
-        """Small-integer coefficients on a random subset of monomials."""
+    def random_element(self, rng):
+        """Small-integer coefficients on one to four random monomials."""
         out = {}
-        for _ in range(rng.randrange(1, max_terms + 1)):
+        for _ in range(rng.randrange(1, 5)):
             mask = rng.randrange(self.dim)
             c = rng.randrange(-3, 4)
             if c:
@@ -362,7 +362,7 @@ def sigma_inverse(algebra, validate=True):
                         lambda x: left * x * right, validate=validate)
 
 
-def endomorphism_from_generator_images(algebra, images, name="custom", rng=None):
+def endomorphism_from_generator_images(algebra, images):
     """Multiplicative extension of v_i -> images[i]; validated on generators."""
     if len(images) != algebra.g:
         raise RingError("need one image per generator")
@@ -377,7 +377,7 @@ def endomorphism_from_generator_images(algebra, images, name="custom", rng=None)
             out = out + term
         return out
 
-    return Endomorphism(name, algebra, act, validate=True, rng=rng)
+    return Endomorphism("custom", algebra, act)
 
 
 # --------------------------------------------------------------------------
@@ -425,14 +425,14 @@ def graded_component_basis(algebra, m, n):
     return ComponentBasis(algebra, basis)
 
 
-def solve_constraint(delta, t, cap=SOLVER_CAP):
+def solve_constraint(delta, t):
     """Basis of {x in E : delta(x) = t*x}, by exact Gaussian elimination on
     the 2^g x 2^g matrix of the K-linear map x -> delta(x) - t*x."""
     algebra = delta.ring
     if not isinstance(algebra, GrassmannAlgebra):
         raise RingError("solve_constraint works on Grassmann algebras")
-    if algebra.g > cap:
-        raise RingError(f"solver cap exceeded: g={algebra.g} > {cap}")
+    if algebra.g > SOLVER_CAP:
+        raise RingError(f"solver cap exceeded: g={algebra.g} > {SOLVER_CAP}")
     t = algebra.from_scalar(t) if isinstance(t, (int, Fraction, Cyc)) else t
     dim = algebra.dim
     # column j holds the coordinates of (delta - t*.) applied to basis monomial j

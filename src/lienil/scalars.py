@@ -292,6 +292,8 @@ def parse_scalar(field, text):
     """Parse "p/q" or "[c0, c1, ...]" into a field element."""
     t = text.strip()
     if t.startswith("["):
+        if not t.endswith("]"):
+            raise ScalarError(f"unclosed bracket in scalar {text!r}")
         inner = t[1:-1].strip()
         parts = [p for p in inner.split(",") if p.strip()] if inner else []
         return field.element([parse_fraction(p) for p in parts])

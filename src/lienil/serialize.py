@@ -54,8 +54,14 @@ def grassmann_to_json(x):
 def grassmann_from_json(algebra, doc):
     if doc.get("g", algebra.g) != algebra.g:
         raise SerializationError("generator count mismatch")
+    terms = doc.get("coeffs", {})
+    if not isinstance(terms, dict):
+        raise SerializationError("Grassmann coeffs must be an object")
     coeffs = {}
-    for key, text in doc.get("coeffs", {}).items():
+    for key, text in terms.items():
+        if not isinstance(text, str):
+            raise SerializationError(
+                f"Grassmann coefficient {text!r} must be a string")
         mask = _key_to_mask(key, algebra.g)
         coeffs[mask] = parse_scalar(algebra.field, text)
     return algebra.element(coeffs)
@@ -128,12 +134,27 @@ def ring_to_json(ring):
     raise SerializationError(f"no JSON encoding for ring {ring!r}")
 
 
+def _int(value, what):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SerializationError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def ring_from_json(doc):
+    if not isinstance(doc, dict):
+        raise SerializationError("a ring descriptor must be an object")
     kind = doc.get("type")
     if kind == "grassmann":
-        return GrassmannAlgebra(doc["g"], CyclotomicField(doc.get("root_order", 1)))
+        return GrassmannAlgebra(
+            _int(doc["g"], "g"),
+            CyclotomicField(_int(doc.get("root_order", 1), "root_order")))
     if kind == "oracle":
-        return OracleRing(doc["variables"])
+        names = doc["variables"]
+        if not (isinstance(names, list)
+                and all(isinstance(v, str) for v in names)):
+            raise SerializationError(
+                "oracle variables must be a list of strings")
+        return OracleRing(names)
     raise SerializationError(f"unknown ring type {kind!r}")
 
 

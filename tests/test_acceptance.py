@@ -1,5 +1,5 @@
-"""The acceptance gate: one test per criterion, plus the determinism
-criterion and the slow degree-9 Cayley-Hamilton instance."""
+"""The acceptance gate: one test per criterion, all read from one
+reproduce_all report, plus the slow degree-9 Cayley-Hamilton instance."""
 
 import random
 from pathlib import Path
@@ -7,68 +7,67 @@ from pathlib import Path
 import pytest
 
 from lienil import acceptance
-from lienil.acceptance import (canonical_report, criterion_1_transitivity,
-                               criterion_2_theta,
-                               criterion_3_oracle_equivalence,
-                               criterion_4_minor_identity,
-                               criterion_5_closure, criterion_6_fixed_ring,
-                               criterion_7_cayley_hamilton,
-                               criterion_8_embedding,
-                               criterion_9_integrality,
-                               criterion_10_shapes)
+from lienil.acceptance import canonical_report
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_all_report.json"
 
 
-def check(fn, **kwargs):
-    passed, details = fn(**kwargs)
-    assert passed, details
+@pytest.fixture(scope="module")
+def report():
+    """One full acceptance run: the core suite twice, compared by bytes."""
+    return acceptance.reproduce_all()[0]
 
 
-def test_criterion_1_transitivity():
-    check(criterion_1_transitivity)
+def check(report, num):
+    result = report["results"][num - 1]
+    assert result["criterion"] == num
+    assert result["passed"], result["details"]
 
 
-def test_criterion_2_hadamard_automorphism():
-    check(criterion_2_theta)
+def test_criterion_1_transitivity(report):
+    check(report, 1)
 
 
-def test_criterion_3_oracle_equivalence():
-    check(criterion_3_oracle_equivalence)
+def test_criterion_2_hadamard_automorphism(report):
+    check(report, 2)
 
 
-def test_criterion_4_minor_identity():
-    check(criterion_4_minor_identity)
+def test_criterion_3_oracle_equivalence(report):
+    check(report, 3)
 
 
-def test_criterion_5_preadjoint_closure():
-    check(criterion_5_closure)
+def test_criterion_4_minor_identity(report):
+    check(report, 4)
 
 
-def test_criterion_6_fixed_ring_determinants():
-    check(criterion_6_fixed_ring)
+def test_criterion_5_preadjoint_closure(report):
+    check(report, 5)
 
 
-def test_criterion_7_cayley_hamilton():
-    check(criterion_7_cayley_hamilton)
+def test_criterion_6_fixed_ring_determinants(report):
+    check(report, 6)
 
 
-def test_criterion_8_embedding():
-    check(criterion_8_embedding)
+def test_criterion_7_cayley_hamilton(report):
+    check(report, 7)
 
 
-def test_criterion_9_integrality():
-    check(criterion_9_integrality)
+def test_criterion_8_embedding(report):
+    check(report, 8)
 
 
-def test_criterion_10_shapes():
-    check(criterion_10_shapes)
+def test_criterion_9_integrality(report):
+    check(report, 9)
 
 
-def test_criterion_11_determinism():
+def test_criterion_10_shapes(report):
+    check(report, 10)
+
+
+def test_criterion_11_determinism(report):
     """Reports are byte-identical across runs (reproduce_all reruns the
     whole suite and compares the bytes) and equal the committed report."""
-    report, timings = acceptance.reproduce_all()
+    check(report, 11)
     assert report["all_passed"]
     nums = [r["criterion"] for r in report["results"]]
     assert nums == list(range(1, 12))
@@ -90,5 +89,5 @@ def test_slow_degree9_cayley_hamilton():
     assert p.degree == 9
     assert p.coeffs[-1] == spec.ring.from_scalar(
         leading_coefficient_value(3, 2))
-    res = p.subst_right_matrix(A)
+    res = p.subst_matrix(A)
     assert not any(e for row in res.rows for e in row)

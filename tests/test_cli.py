@@ -135,14 +135,25 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         {"ring": GRING, "matrix": {"n": 1, "entries": ["1"]}},
     ] + [{"ring": {"type": "oracle", "variables": ["a"]},
           "matrix": {"n": 1, "entries": [[text]]}}
-         for text in ("1/0", "0/0", "a - oo", "a/0")]
+         for text in ("1/0", "0/0", "a - oo", "a/0")] + [
+        {"ring": 5, "matrix": {"n": 1, "entries": [["1"]]}},
+        {"ring": {"type": "grassmann", "g": "x"},
+         "matrix": {"n": 1, "entries": [["1"]]}},
+        {"ring": {"type": "grassmann", "g": 2, "root_order": "3"},
+         "matrix": {"n": 1, "entries": [["1"]]}},
+        {"ring": {"type": "oracle", "variables": 5},
+         "matrix": {"n": 1, "entries": [["1"]]}},
+        {"ring": GRING, "matrix": {"n": 1, "entries": [[{"coeffs": {"": 3}}]]}},
+        {"ring": GRING, "matrix": {"n": 1, "entries": [[{"coeffs": [1]}]]}},
+    ]
     for i, doc in enumerate(malformed):
         bad = write(tmp_path, f"bad{i}.json", doc)
         assert main(["sdet", bad]) == 2, doc
-        capsys.readouterr()
+        assert "error" in json.loads(capsys.readouterr().err), doc
 
 
-def test_cost_cap_exit_code(tmp_path, capsys):
+def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LIENIL_MAX_N", "6")     # the cap is fixed at n <= 5
     n = 6
     ident = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
     src = write(tmp_path, "big.json", {

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from lienil import (CostCapError, GrassmannAlgebra, Matrix, QQ,
-                    cayley_hamilton_check, charpoly, classical_adj,
-                    classical_det, epsilon, integrality_certificate, ldet,
-                    leading_coefficient_value, left_adjoint_sequence,
+from lienil import (CostCapError, GrassmannAlgebra, Matrix, QQ, RingError,
+                    adjoint_sequence, cayley_hamilton_check, charpoly,
+                    classical_adj, classical_det, epsilon,
+                    integrality_certificate, ldet, leading_coefficient_value,
                     oracle_ring, preadjoint, preadjoint_via_minors, rdet,
-                    right_adjoint_sequence, sdet, sdet_first_form)
+                    sdet, sdet_first_form)
 from lienil.supermatrix import example_5_1, sample_supermatrix, shape
 
 
@@ -79,12 +79,14 @@ def test_trace_symmetry():
 def test_rdet_recursion():
     """rdet_(k+1)(A) = tr of the next product; sequences are consistent."""
     _, A = grassmann_matrix(4, 2, 7)
-    seq = right_adjoint_sequence(A, 3)
+    seq = adjoint_sequence(A, 3)
     for k in (1, 2, 3):
         assert rdet(A, k) == seq.products[k - 1].trace()
-    lseq = left_adjoint_sequence(A, 2)
+    lseq = adjoint_sequence(A, 2, "left")
     for k in (1, 2):
         assert ldet(A, k) == lseq.products[k - 1].trace()
+    with pytest.raises(RingError):
+        adjoint_sequence(A, 1, "middle")
     assert rdet(A, 1) == sdet(A) and ldet(A, 1) == sdet(A)
 
 
@@ -153,6 +155,6 @@ def test_integrality_certificate():
 
 def test_cost_cap():
     E = GrassmannAlgebra(0, QQ)
-    A = Matrix.identity(E, 6)            # default cap is n <= 5
+    A = Matrix.identity(E, 6)            # the cap is n <= 5
     with pytest.raises(CostCapError):
         sdet(A)

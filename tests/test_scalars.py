@@ -84,6 +84,14 @@ def test_parse_and_format_round_trip():
     assert format_fraction(Fraction(4, 2)) == "2"
 
 
+def test_parse_scalar_needs_closing_bracket():
+    F = CyclotomicField(3)
+    for text in ("[1, 2", "[3", "[", " [1/2, -3 "):
+        with pytest.raises(ScalarError):
+            parse_scalar(F, text)
+    assert parse_scalar(F, " [1, 2] ") == F.element([1, 2])
+
+
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
 
