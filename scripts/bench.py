@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Micro-benchmark of the scalar and Grassmann layers.
+
+Prints microseconds per operation for ``Cyc`` multiplication, addition and
+inverse over Q(zeta_n) at n = 1, 3, 4, 5, and for Grassmann multiplication
+at g = 4 and 8 over Q.  Operands come from fixed seeds, so two checkouts
+time the same inputs.  Each figure is the best of several repeats of a
+loop over a fixed pool of operands.
+
+Usage: python3 scripts/bench.py [--label NAME] [--out FILE]
+
+The package is imported from ``src/`` next to this script.  With ``--out``
+the figures are stored under ``--label`` in that JSON file, next to the
+labels it already holds, with the host they were measured on.
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from lienil.grassmann import GrassmannAlgebra  # noqa: E402
+from lienil.scalars import QQ, CyclotomicField  # noqa: E402
+
+ORDERS = (1, 3, 4, 5)
+GENERATORS = (4, 8)
+POOL = 64
+REPEATS = 9
+
+
+def _best_us(fn, pairs, loops):
+    """Best-of-REPEATS microseconds per call of ``fn`` over ``pairs``."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(loops):
+            for a, b in pairs:
+                fn(a, b)
+        best = min(best, time.perf_counter() - t0)
+    return best / (loops * len(pairs)) * 1e6
+
+
+def _scalar(field, rng):
+    """Small rationals: mostly integers, some thirds and halves."""
+    return field.element([Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+                          for _ in range(field.degree)])
+
+
+def scalar_cases(order):
+    field = CyclotomicField(order)
+    rng = random.Random(1000 + order)
+    xs = [_scalar(field, rng) for _ in range(POOL)]
+    pairs = list(zip(xs, xs[1:] + xs[:1]))
+    nonzero = [(x, None) for x in xs if x]
+    loops = 20 if order == 1 else 5
+    return {
+        f"cyc_mul_n{order}": _best_us(lambda a, b: a * b, pairs, loops),
+        f"cyc_add_n{order}": _best_us(lambda a, b: a + b, pairs, loops),
+        f"cyc_inverse_n{order}": _best_us(lambda a, b: a.inverse(), nonzero,
+                                          max(1, loops // 5)),
+    }
+
+
+def grassmann_cases(g):
+    algebra = GrassmannAlgebra(g, QQ)
+    rng = random.Random(2000 + g)
+    terms = 4 if g == 4 else 12
+    xs = []
+    for _ in range(POOL // 4):
+        coeffs = {}
+        for _ in range(terms):
+            coeffs[rng.randrange(algebra.dim)] = rng.randint(-5, 5)
+        xs.append(algebra.element(coeffs))
+    pairs = list(zip(xs, xs[1:] + xs[:1]))
+    return {f"grassmann_mul_g{g}": _best_us(lambda a, b: a * b, pairs, 3)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", default="current",
+                        help="name to store the figures under")
+    parser.add_argument("--out", default=None,
+                        help="JSON file to merge the figures into")
+    args = parser.parse_args(argv)
+
+    us = {}
+    for order in ORDERS:
+        us.update(scalar_cases(order))
+    for g in GENERATORS:
+        us.update(grassmann_cases(g))
+    for name, value in us.items():
+        print(f"{name:<24} {value:9.2f} us/op")
+
+    if args.out:
+        path = Path(args.out)
+        doc = json.loads(path.read_text()) if path.exists() else {}
+        doc.setdefault("host", {
+            "machine": platform.machine(), "cpus": os.cpu_count(),
+            "python": platform.python_version()})
+        doc[args.label] = {"us_per_op": {k: round(v, 3) for k, v in us.items()}}
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

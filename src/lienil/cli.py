@@ -16,7 +16,7 @@ from .matrices import (MatrixError, TransitiveMatrix, blow_up,
                        factor_transitive, is_transitive, theta,
                        transitive_from_units)
 from .rings import RingError
-from .scalars import ScalarError
+from .scalars import OrderCapError, ScalarError
 from .serialize import (SerializationError, element_from_json,
                         element_to_json, matrix_from_json, matrix_to_json,
                         ring_from_json, delta_from_json, spec_from_json,
@@ -311,7 +311,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except dets.CostCapError as exc:
+    except (dets.CostCapError, OrderCapError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_COST_CAP
     except (SerializationError, ScalarError, RingError, MatrixError,

@@ -1,7 +1,9 @@
 """Exact Gaussian elimination over a scalar field: kernels, rank, span tests.
 
-Vectors are lists of field elements (scalars.Cyc).  Division is exact, so
-no pivoting strategy beyond "first nonzero" is needed.
+Vectors are lists of ``scalars.Cyc`` elements (integer numerators over a
+common denominator in Q(zeta_n)); each pivot is inverted once through the
+Galois norm.  Arithmetic is exact, so no pivoting strategy beyond "first
+nonzero" is needed.
 """
 
 from __future__ import annotations

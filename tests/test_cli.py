@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lienil.cli import main
+from lienil.scalars import MAX_ORDER
 
 GRING = {"type": "grassmann", "g": 2, "root_order": 1}
 
@@ -145,11 +146,16 @@ def test_invalid_input_exit_code(tmp_path, capsys):
          "matrix": {"n": 1, "entries": [["1"]]}},
         {"ring": GRING, "matrix": {"n": 1, "entries": [[{"coeffs": {"": 3}}]]}},
         {"ring": GRING, "matrix": {"n": 1, "entries": [[{"coeffs": [1]}]]}},
-    ]
+    ] + [{"ring": GRING, "matrix": {"n": 1, "entries": [[entry]]}}
+         for entry in ("1/0", "[1/0]", {"coeffs": {"1": "2/0"}})]
     for i, doc in enumerate(malformed):
         bad = write(tmp_path, f"bad{i}.json", doc)
         assert main(["sdet", bad]) == 2, doc
         assert "error" in json.loads(capsys.readouterr().err), doc
+    src = write(tmp_path, "embed.json", {
+        "ring": GRING, "delta": "epsilon", "element": "1"})
+    assert main(["embed", src, "--n", "0"]) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
 
 
 def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
@@ -160,3 +166,16 @@ def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
         "ring": GRING, "matrix": {"n": n, "entries": ident}})
     assert main(["sdet", src]) == 3
     capsys.readouterr()
+    # field and root-of-unity orders are capped too
+    too_big = MAX_ORDER + 1
+    src = write(tmp_path, "order.json", {
+        "ring": {"type": "grassmann", "g": 2, "root_order": too_big},
+        "matrix": {"n": 1, "entries": [["1"]]}})
+    elem = write(tmp_path, "embed.json", {
+        "ring": GRING, "delta": "epsilon", "element": "1"})
+    for argv in (["sdet", src],
+                 ["example", "5.2", "--n", str(too_big), "--g", "2"],
+                 ["embed", elem, "--n", "2", "--root", str(too_big)],
+                 ["embed", elem, "--n", str(too_big)]):
+        assert main(argv) == 3, argv
+        assert "error" in json.loads(capsys.readouterr().err), argv

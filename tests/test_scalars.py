@@ -1,13 +1,17 @@
 """Cyclotomic field arithmetic and scalar parsing."""
 
+import pickle
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lienil.scalars import (QQ, CyclotomicField, ScalarError,
-                            cyclotomic_polynomial, format_fraction,
-                            parse_scalar)
+from lienil.scalars import (MAX_ORDER, QQ, SHARED_VALUES, CyclotomicField,
+                            OrderCapError, ScalarError, _ext_gcd_poly,
+                            _poly_divmod, _poly_mul, cyclotomic_polynomial,
+                            format_fraction, parse_scalar)
 
 
 def poly_mul(a, b):
@@ -92,14 +96,108 @@ def test_parse_scalar_needs_closing_bracket():
     assert parse_scalar(F, " [1, 2] ") == F.element([1, 2])
 
 
+def test_parse_scalar_rejects_zero_denominator():
+    F = CyclotomicField(3)
+    for text in ("1/0", "[1/0]", "[1, 2/0]", " -0/0 "):
+        with pytest.raises(ScalarError):
+            parse_scalar(F, text)
+
+
+def test_hash_agrees_with_eq():
+    assert len({QQ.one, 1}) == 1
+    q = Fraction(-7, 3)
+    for order in (1, 3, 5):
+        F = CyclotomicField(order)
+        assert F.from_fraction(q) == q
+        assert hash(F.from_fraction(q)) == hash(q)
+        assert hash(F.one) == hash(1) and F.one == 1
+    F3, F5 = CyclotomicField(3), CyclotomicField(5)
+    # rational elements of two fields hash alike but are not equal
+    assert F3.one != F5.one
+    assert len({F3.one, F5.one, F3.e, F5.e}) == 4
+    with pytest.raises(ScalarError):
+        F3.one + F5.one
+    with pytest.raises(ScalarError):
+        F3.e * F5.e
+
+
+def test_order_cap():
+    assert CyclotomicField(MAX_ORDER).order == MAX_ORDER
+    with pytest.raises(OrderCapError):
+        CyclotomicField(MAX_ORDER + 1)
+    with pytest.raises(OrderCapError):
+        QQ.primitive_root(MAX_ORDER + 1)
+    for bad in (0, -3):
+        with pytest.raises(ScalarError) as info:
+            CyclotomicField(bad)
+        assert not isinstance(info.value, OrderCapError)
+        with pytest.raises(ScalarError):
+            QQ.primitive_root(bad)
+
+
+def test_equal_values_are_shared():
+    F = CyclotomicField(7)
+    assert F is CyclotomicField(7)
+    F._shared.clear()           # whatever earlier tests left in the table
+    assert F.e * F.e is F.element([0, 0, 1])
+    assert (F.from_fraction(1) + F.e) is F.element([1, 1])
+    x = F.element([Fraction(1, 2), 3])
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and y.field is F
+    for k in range(2 * SHARED_VALUES):
+        F.from_fraction(Fraction(k, 7))
+    assert len(F._shared) == SHARED_VALUES
+
+
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+polys = st.lists(fracs, min_size=0, max_size=8)
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
 
 
+def reduced(F, p):
+    """Fraction-polynomial route: p mod Phi_n, padded to the degree."""
+    r = _poly_divmod(list(p), list(F.modulus))[1]
+    return tuple(r) + (Fraction(0),) * (F.degree - len(r))
+
+
+def assert_normalised(F, x):
+    assert x.field is F and len(x.num) == F.degree
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@settings(max_examples=40, deadline=None)
+@given(a=polys, b=polys, c=polys)
+def test_matches_fraction_polynomials(order, a, b, c):
+    """+, -, *, inverse and == agree with _poly_mul/_poly_divmod modulo
+    Phi_n and _ext_gcd_poly, and every value is stored in lowest terms."""
+    F = CyclotomicField(order)
+    x, y = F.element(a), F.element(b)
+    ra, rb = reduced(F, a), reduced(F, b)
+    plus = [p + q for p, q in zip_longest(ra, rb, fillvalue=0)]
+    minus = [p - q for p, q in zip_longest(ra, rb, fillvalue=0)]
+    cases = [(x, ra), (y, rb), (x + y, reduced(F, plus)),
+             (x - y, reduced(F, minus)), (x * y, reduced(F, _poly_mul(ra, rb)))]
+    if x:
+        g, u, _ = _ext_gcd_poly(list(ra), list(F.modulus))
+        cases.append((x.inverse(), reduced(F, [ui / g[0] for ui in u])))
+    for value, expected in cases:
+        assert_normalised(F, value)
+        assert value.coeffs == expected
+    assert (x == y) == (ra == rb)
+    # the same class reached through an over-long representative
+    shifted = _poly_mul(list(F.modulus), c)
+    w = F.element([p + q for p, q in zip_longest(a, shifted, fillvalue=0)])
+    assert w == x and hash(w) == hash(x)
+
+
+@pytest.mark.parametrize("order", (3, 5, 12))
 @given(st.lists(fracs, min_size=1, max_size=4),
        st.lists(fracs, min_size=1, max_size=4),
        st.lists(fracs, min_size=1, max_size=4))
-def test_field_axioms_zeta5(a, b, c):
-    F = CyclotomicField(5)
+def test_field_axioms(order, a, b, c):
+    F = CyclotomicField(order)
     x, y, z = F.element(a), F.element(b), F.element(c)
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
