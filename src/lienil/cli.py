@@ -16,7 +16,7 @@ from .matrices import (MatrixError, TransitiveMatrix, blow_up,
                        factor_transitive, is_transitive, theta,
                        transitive_from_units)
 from .rings import RingError
-from .scalars import OrderCapError, ScalarError
+from .scalars import MAX_ORDER, OrderCapError, ScalarError
 from .serialize import (SerializationError, element_from_json,
                         element_to_json, matrix_from_json, matrix_to_json,
                         ring_from_json, delta_from_json, spec_from_json,
@@ -148,6 +148,8 @@ def cmd_embed(args):
     ring = ring_from_json(doc["ring"])
     delta = delta_from_json(ring, doc["delta"])
     r = element_from_json(ring, doc["element"])
+    if args.n > MAX_ORDER:      # the embedding costs about n^3 products
+        raise OrderCapError(f"embed --n {args.n} exceeds the cap {MAX_ORDER}")
     root_order = args.root if args.root else args.n
     e = ring.field.primitive_root(root_order)
     spec = SuperAlgebraSpec(ring, delta, p_matrix(ring, e, n=args.n))

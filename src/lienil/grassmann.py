@@ -9,11 +9,11 @@ solver that computes bases of {x : delta(x) = t*x} by exact elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .rings import ContextMismatchError, Endomorphism, Ring, RingError, check_same_ring
-from .scalars import QQ, Cyc
+from .rings import (SCALARS, ContextMismatchError, Endomorphism, Ring,
+                    RingElement, RingError)
+from .scalars import QQ
 
 SOLVER_CAP = 12  # solve_constraint materializes a 2^g x 2^g matrix
 
@@ -175,7 +175,7 @@ class GrassmannAlgebra(Ring):
         return [x.coeffs.get(m, self.field.zero) for m in self.basis_masks()]
 
 
-class GrassmannElement:
+class GrassmannElement(RingElement):
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
@@ -185,14 +185,6 @@ class GrassmannElement:
     @property
     def algebra(self):
         return self.ring
-
-    def _coerce(self, other):
-        if isinstance(other, GrassmannElement):
-            check_same_ring(self, other)
-            return other
-        if isinstance(other, (int, Fraction, Cyc)):
-            return self.ring.from_scalar(other)
-        return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -208,22 +200,8 @@ class GrassmannElement:
                 del out[m]
         return GrassmannElement(self.ring, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return GrassmannElement(self.ring, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -246,18 +224,6 @@ class GrassmannElement:
                 elif m in out:
                     del out[m]
         return GrassmannElement(self.ring, out)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def __pow__(self, k):
-        out = self.ring.one
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -323,24 +289,16 @@ def epsilon(algebra, validate=True):
 
 
 def rho(algebra, e, validate=True):
-    """v_i -> e*v_i for a root of unity e: scales the length-k part by e^k."""
+    """v_i -> e*v_i for a root of unity e: scales the length-k part by e^k.
+    Every root of unity in Q(zeta_n) is +-zeta_n^j, so its order divides 2n."""
     e = algebra.coerce_scalar(e)
-    if not _is_root_of_unity(e):
+    if e ** (2 * algebra.field.order) != algebra.field.one:
         raise RingError("rho requires a root of unity in the scalar field")
     powers = [e ** k for k in range(algebra.g + 1)]
     def act(x):
         return GrassmannElement(
             algebra, {m: powers[m.bit_count()] * c for m, c in x.coeffs.items()})
     return Endomorphism(f"rho_{e}", algebra, act, validate=validate)
-
-
-def _is_root_of_unity(e, max_order=64):
-    acc = e
-    for _ in range(max_order):
-        if acc == e.field.one:
-            return True
-        acc = acc * e
-    return False
 
 
 def sigma(algebra, validate=True):
@@ -433,7 +391,7 @@ def solve_constraint(delta, t):
         raise RingError("solve_constraint works on Grassmann algebras")
     if algebra.g > SOLVER_CAP:
         raise RingError(f"solver cap exceeded: g={algebra.g} > {SOLVER_CAP}")
-    t = algebra.from_scalar(t) if isinstance(t, (int, Fraction, Cyc)) else t
+    t = algebra.from_scalar(t) if isinstance(t, SCALARS) else t
     dim = algebra.dim
     # column j holds the coordinates of (delta - t*.) applied to basis monomial j
     cols = []

@@ -1,12 +1,12 @@
 """Generic n x n matrices over a ring, transitive matrices, and the
-Hadamard automorphisms Theta_T and the entrywise extension delta_n."""
+Hadamard automorphisms Theta_T and the entrywise extension delta_n.
+
+Transitivity (t_ii = 1 and t_ij t_jk = t_ik for all i, j, k) is tested in
+O(n^2) products through the first row and column; see ``_failing_triple``."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .rings import ContextMismatchError, Ring, RingError, check_same_ring
-from .scalars import Cyc
+from .rings import SCALARS, ContextMismatchError, Ring, RingError, check_same_ring
 
 
 class MatrixError(RingError):
@@ -106,7 +106,7 @@ class Matrix:
         return hash((self.ring, self.rows))
 
     def scalar_mul(self, c):
-        if isinstance(c, (int, Fraction, Cyc)):
+        if isinstance(c, SCALARS):
             c = self.ring.from_scalar(c)
         return self.map_entries(lambda e: c * e)
 
@@ -146,34 +146,44 @@ def hadamard(A, B):
                            for ra, rb in zip(A.rows, B.rows)])
 
 
+def _failing_triple(M):
+    """A 1-based triple (i, j, k) of the square matrix M with
+    t_ij t_jk != t_ik, or None if every triple holds.
+
+    This takes n^2 + n - 1 products and no commutativity.  If the triples
+    (i, 1, k) and (1, j, 1) hold, that is t_i1 t_1k = t_ik and
+    t_1j t_j1 = t_11, then so does every triple:
+    t_ij t_jk = t_i1 (t_1j t_j1) t_1k = t_i1 (t_11 t_1k) = t_i1 t_1k = t_ik."""
+    t = M.rows
+    n = len(t)
+    for i in range(n):
+        for k in range(n):
+            if t[i][0] * t[0][k] != t[i][k]:
+                return i + 1, 1, k + 1
+    for j in range(1, n):
+        if t[0][j] * t[j][0] != t[0][0]:
+            return 1, j + 1, 1
+    return None
+
+
 def is_transitive(M):
-    """Exhaustive check: t_ii = 1 and t_ij t_jk = t_ik over all triples."""
+    """t_ii = 1 and t_ij t_jk = t_ik for all i, j, k, in O(n^2) products."""
     if not M.is_square:
         return False
-    n = M.nrows
     one = M.ring.one
-    for i in range(1, n + 1):
-        if M.entry(i, i) != one:
-            return False
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if M.entry(i, j) * M.entry(j, k) != M.entry(i, k):
-                    return False
-    return True
+    return (all(row[i] == one for i, row in enumerate(M.rows))
+            and _failing_triple(M) is None)
 
 
 class TransitiveMatrix:
-    """A square matrix certified transitive; the certificate, when present,
-    is a unit sequence g_1..g_n with t_ij = g_i * g_j^{-1}."""
+    """A square matrix certified transitive."""
 
-    def __init__(self, matrix, units=None):
+    def __init__(self, matrix):
         if not matrix.is_square:
             raise MatrixError("transitive matrices are square")
         if not is_transitive(matrix):
             raise MatrixError("matrix fails the transitivity triple check")
         self.matrix = matrix
-        self.units = tuple(units) if units is not None else None
 
     @property
     def ring(self):
@@ -208,7 +218,7 @@ def transitive_from_units(ring, units):
             raise MatrixError("unit sequence contains a non-invertible element")
         inverses.append(inv)
     rows = [[g * inv for inv in inverses] for g in units]
-    return TransitiveMatrix(Matrix(ring, rows), units=units)
+    return TransitiveMatrix(Matrix(ring, rows))
 
 
 def factor_transitive(T):
@@ -279,19 +289,10 @@ def theta(T, A):
 
 
 def theta_inverse(T, A):
-    """Hadamard multiplication by S = [t_ij^{-1}]."""
+    """Hadamard multiplication by S = [t_ij^{-1}], which is the transpose
+    of T: t_ij t_ji = t_ii = 1 and t_ji t_ij = t_jj = 1."""
     _check_central(T)
-    ring = T.ring
-    s_rows = []
-    for row in T.matrix.rows:
-        s_row = []
-        for e in row:
-            inv = ring.try_invert(e)
-            if inv is None:
-                raise MatrixError("transitive entry without an inverse")
-            s_row.append(inv)
-        s_rows.append(s_row)
-    return hadamard(Matrix(ring, s_rows), A)
+    return hadamard(Matrix(T.ring, zip(*T.matrix.rows)), A)
 
 
 def delta_n(delta, A):
@@ -302,26 +303,24 @@ def delta_n(delta, A):
 
 
 def matrix_units_counterexample(T):
-    """For a non-transitive square T over a commutative-enough ring, a pair
-    of standard matrix units witnessing that Theta_T is not multiplicative.
-    Returns (E_ij, E_jk) or None if T is transitive."""
+    """For a square matrix T, a pair of standard matrix units (E_ij, E_jk)
+    with Theta_T(E_ij E_jk) != Theta_T(E_ij) Theta_T(E_jk), that is with
+    t_ij t_jk != t_ik.  Returns None if there is none: Theta_T is then
+    multiplicative on matrix units, as for every transitive T."""
+    if not T.is_square:
+        raise MatrixError("matrix-unit counterexamples need a square matrix")
+    triple = _failing_triple(T)
+    if triple is None:
+        return None
+    i, j, k = triple
     ring = T.ring
     n = T.nrows
-    one, zero = ring.one, ring.zero
 
-    def unit(i, j):
-        return Matrix(ring, [[one if (r, c) == (i, j) else zero
+    def unit(a, b):
+        return Matrix(ring, [[ring.one if (r, c) == (a, b) else ring.zero
                               for c in range(1, n + 1)] for r in range(1, n + 1)])
 
-    for i in range(1, n + 1):
-        if T.entry(i, i) != one:
-            return unit(i, i), unit(i, i)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if T.entry(i, j) * T.entry(j, k) != T.entry(i, k):
-                    return unit(i, j), unit(j, k)
-    return None
+    return unit(i, j), unit(j, k)
 
 
 class MatrixRing(Ring):

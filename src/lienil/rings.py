@@ -2,9 +2,11 @@
 
 Every concrete ring (Grassmann algebra, commutative oracle, matrix ring,
 polynomial ring) subclasses Ring.  Elements carry a ``.ring`` attribute and
-overload +, -, *; elements of different rings never mix.  A commutative
-multivariate polynomial ring over Q (backed by sympy) serves as an oracle
-for cross-validating the noncommutative determinant code.
+overload +, -, *; elements of different rings never mix.  The element
+classes subclass RingElement, which lifts scalars and derives subtraction
+and the reflected operators from each class's own +, unary - and *.  A
+commutative multivariate polynomial ring over Q (backed by sympy) serves as
+an oracle for cross-validating the noncommutative determinant code.
 """
 
 from __future__ import annotations
@@ -24,10 +26,50 @@ class ContextMismatchError(RingError):
     pass
 
 
+# Scalars that every ring lifts through ``Ring.from_scalar``.
+SCALARS = (int, Fraction, Cyc)
+
+
 def check_same_ring(x, y):
     if x.ring != y.ring:
         raise ContextMismatchError(
             f"elements of different rings: {x.ring!r} vs {y.ring!r}")
+
+
+class RingElement:
+    """Operators shared by the element classes.  A subclass defines
+    ``ring``, ``__add__``, ``__neg__``, ``__mul__`` and ``__eq__`` on itself;
+    its ``__add__``, ``__mul__`` and ``__eq__`` start with ``_coerce``."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        """``other`` as an element of this ring: a scalar is lifted and an
+        element of another ring of the same class is rejected.  Anything
+        else gives None, which leaves the other operand to decide (an
+        R[z] polynomial lifts an element of R)."""
+        if type(other) is type(self):
+            check_same_ring(self, other)
+            return other
+        if isinstance(other, SCALARS):
+            return self.ring.from_scalar(other)
+        return None
+
+    def __radd__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + o
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __rmul__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self
 
 
 class Ring:
@@ -216,7 +258,7 @@ class PolynomialRing(Ring):
         return self.element([self.base.random_element(rng) for _ in range(deg + 1)])
 
 
-class RPolynomial:
+class RPolynomial(RingElement):
     """Polynomial in a central indeterminate z with coefficients in R,
     ascending powers, trailing zeros trimmed."""
 
@@ -238,14 +280,10 @@ class RPolynomial:
         return self.coeffs[i] if i < len(self.coeffs) else self.base.zero
 
     def _coerce(self, other):
-        if isinstance(other, RPolynomial):
-            check_same_ring(self, other)
-            return other
-        if isinstance(other, (int, Fraction, Cyc)):
-            return self.ring.from_scalar(other)
+        """Also lifts an element of the base ring to a constant."""
         if getattr(other, "ring", None) == self.base:
             return self.ring.constant(other)
-        return None
+        return super()._coerce(other)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -254,22 +292,8 @@ class RPolynomial:
         n = max(len(self.coeffs), len(o.coeffs))
         return self.ring.element([self.coeff(i) + o.coeff(i) for i in range(n)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self.ring.element([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -282,12 +306,6 @@ class RPolynomial:
             for j, b in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + a * b
         return self.ring.element(out)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -403,20 +421,12 @@ class OracleRing(Ring):
         return self.element(expr)
 
 
-class OracleElement:
+class OracleElement(RingElement):
     __slots__ = ("ring", "expr")
 
     def __init__(self, ring, expr):
         self.ring = ring
         self.expr = expr
-
-    def _coerce(self, other):
-        if isinstance(other, OracleElement):
-            check_same_ring(self, other)
-            return other
-        if isinstance(other, (int, Fraction, Cyc)):
-            return self.ring.from_scalar(other)
-        return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -424,34 +434,14 @@ class OracleElement:
             return NotImplemented
         return OracleElement(self.ring, sympy.expand(self.expr + o.expr))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return OracleElement(self.ring, -self.expr)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return OracleElement(self.ring, sympy.expand(self.expr - o.expr))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return OracleElement(self.ring, sympy.expand(self.expr * o.expr))
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -4,8 +4,10 @@ algebras over the Grassmann algebra."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .grassmann import (ComponentBasis, GrassmannAlgebra, epsilon, rho, sigma,
                         solve_constraint)
@@ -164,23 +166,11 @@ class EmbeddingConditionsReport:
                 and self.delta_order_n)
 
     def as_dict(self):
-        return {
-            "first_column_central_units": self.first_column_central_units,
-            "has_inverse_of_n": self.has_inverse_of_n,
-            "t_power_n_is_one": self.t_power_n_is_one,
-            "one_minus_t_nonzero_divisor": self.one_minus_t_nonzero_divisor,
-            "power_sums_vanish": self.power_sums_vanish,
-            "inverse_power_sums_vanish": self.inverse_power_sums_vanish,
-            "t_in_fixed_ring": self.t_in_fixed_ring,
-            "delta_order_n": self.delta_order_n,
-            "inverse_sum_condition_redundant": self.inverse_sum_condition_redundant,
-            "regimes": {
-                "scalar": self.regime_scalar,
-                "ring_embedding": self.regime_ring_embedding,
-                "supermatrix_embedding": self.regime_supermatrix_embedding,
-            },
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "regimes": {
+            "scalar": self.regime_scalar,
+            "ring_embedding": self.regime_ring_embedding,
+            "supermatrix_embedding": self.regime_supermatrix_embedding,
+        }}
 
 
 def _delta_power_is_identity(spec):
@@ -202,9 +192,14 @@ def check_embedding_conditions(spec):
     inverses = [ring.try_invert(t) for t in col]
     notes = []
 
+    def powers(x):
+        """[x^0, x^1, ..., x^n]"""
+        return list(accumulate([x] * n, mul, initial=one))
+
+    col_pows = [powers(t) for t in col]
     central_units = all(inv is not None for inv in inverses) and \
         all(ring.is_central(t) for t in col)
-    t_pow_n = all(_power(t, n, ring) == one for t in col)
+    t_pow_n = all(p[n] == one for p in col_pows)
 
     # 1 - t_ij non-zero-divisor: decidable for Grassmann contexts (nonzero
     # scalar part <=> unit <=> non-zero-divisor, else nilpotent); for other
@@ -223,28 +218,20 @@ def check_embedding_conditions(spec):
                 nz = None
                 notes.append("non-zero-divisor check unverified in this context")
 
-    sums_ok = True
-    inv_sums_ok = all(inv is not None for inv in inverses)
-    for k in range(1, n):
-        s = ring.zero
-        for t in col:
-            s = s + _power(t, k, ring)
-        if s != ring.zero:
-            sums_ok = False
-        if inv_sums_ok:
-            si = ring.zero
-            for inv in inverses:
-                si = si + _power(inv, k, ring)
-            if si != ring.zero:
-                inv_sums_ok = False
+    def sums_vanish(pows):
+        return all(sum((p[k] for p in pows), ring.zero) == ring.zero
+                   for k in range(1, n))
+
+    sums_ok = sums_vanish(col_pows)
+    inv_sums_ok = (all(inv is not None for inv in inverses)
+                   and sums_vanish([powers(inv) for inv in inverses]))
 
     t_fixed = all(fixed_ring_member(spec.delta, t) for t in col)
     delta_ord = _delta_power_is_identity(spec)
 
     # Remark: with equal n-th powers of the first column, the positive power
     # sum condition makes the inverse one redundant; assert the implication.
-    pows = [_power(t, n, ring) for t in col]
-    equal_pows = all(p == pows[0] for p in pows)
+    equal_pows = all(p[n] == col_pows[0][n] for p in col_pows)
     redundant = False
     if equal_pows and sums_ok:
         redundant = True
@@ -265,13 +252,6 @@ def check_embedding_conditions(spec):
         inverse_sum_condition_redundant=redundant,
         notes=notes,
     )
-
-
-def _power(x, k, ring):
-    acc = ring.one
-    for _ in range(k):
-        acc = acc * x
-    return acc
 
 
 @dataclass

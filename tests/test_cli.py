@@ -116,6 +116,12 @@ def test_embed_and_integrality(tmp_path, capsys):
     assert doc["matrix"]["entries"][0][0]["coeffs"] == {}
     code, doc = run(capsys, ["integrality", src, "--n", "2", "--k", "2"])
     assert code == 0 and doc["right_holds"] and doc["left_holds"]
+    # rho over Q(zeta_70): a root of unity of order above 64
+    src = write(tmp_path, "rho.json", {
+        "ring": {"type": "grassmann", "g": 2, "root_order": 70},
+        "delta": "rho_e:70", "element": {"coeffs": {"1": "1"}}})
+    code, doc = run(capsys, ["embed", src, "--n", "2", "--root", "70"])
+    assert code == 0 and doc["matrix"]["n"] == 2
 
 
 def test_example_command(capsys):
@@ -176,6 +182,7 @@ def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
     for argv in (["sdet", src],
                  ["example", "5.2", "--n", str(too_big), "--g", "2"],
                  ["embed", elem, "--n", "2", "--root", str(too_big)],
-                 ["embed", elem, "--n", str(too_big)]):
+                 ["embed", elem, "--n", str(too_big)],
+                 ["embed", elem, "--n", str(too_big), "--root", "1"]):
         assert main(argv) == 3, argv
         assert "error" in json.loads(capsys.readouterr().err), argv

@@ -92,6 +92,18 @@ def test_rho_scales_by_degree():
         rho(E, F.from_fraction(2))
 
 
+@pytest.mark.parametrize("order", [70, 97])
+def test_rho_accepts_roots_of_high_order(order):
+    # orders above 64 used to be rejected by a bounded search of powers
+    F = CyclotomicField(order)
+    E = GrassmannAlgebra(2, F)
+    r = rho(E, F.e)
+    assert r(E.generator(1)) == E.generator(1) * F.e
+    assert rho(E, -F.e)(E.generator(2)) == E.generator(2) * -F.e
+    with pytest.raises(RingError):
+        rho(E, F.one + F.e)
+
+
 def test_sigma_action_and_inverse():
     E = GrassmannAlgebra(3, QQ)
     s = sigma(E)

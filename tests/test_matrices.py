@@ -1,8 +1,10 @@
 """Transitive matrices, blow-ups, factorizations, and Theta_T."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lienil import (CyclotomicField, GrassmannAlgebra, Matrix, MatrixRing, QQ,
                     TransitiveMatrix, blow_up, delta_n, epsilon,
@@ -25,6 +27,75 @@ def test_is_transitive_examples():
     assert is_transitive(H)
     assert not is_transitive(scalar_matrix(E, [[1, 1], [0, 1]]))
     assert not is_transitive(scalar_matrix(E, [[2, 1], [1, 1]]))
+
+
+def exhaustive_failing_triple(M):
+    """Reference oracle: the first triple with t_ij t_jk != t_ik in the
+    O(n^3) loop over all triples, 1-based, or None."""
+    t = M.rows
+    for i, j, k in itertools.product(range(M.nrows), repeat=3):
+        if t[i][j] * t[j][k] != t[i][k]:
+            return i + 1, j + 1, k + 1
+    return None
+
+
+def exhaustive_is_transitive(M):
+    return (M.is_square
+            and all(M.entry(i, i) == M.ring.one for i in range(1, M.nrows + 1))
+            and exhaustive_failing_triple(M) is None)
+
+
+def check_against_oracle(M):
+    assert is_transitive(M) == exhaustive_is_transitive(M)
+    if not M.is_square:
+        with pytest.raises(MatrixError):
+            matrix_units_counterexample(M)
+        return
+    pair = matrix_units_counterexample(M)
+    assert (pair is None) == (exhaustive_failing_triple(M) is None)
+    if pair is not None:
+        Eij, Ejk = pair
+        assert hadamard(M, Eij * Ejk) != hadamard(M, Eij) * hadamard(M, Ejk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.integers(1, 4).flatmap(
+    lambda c: st.lists(st.lists(st.sampled_from([-1, 0, 1, 2]),
+                                min_size=c, max_size=c),
+                       min_size=r, max_size=r))))
+def test_transitivity_matches_exhaustive_oracle_over_q(table):
+    check_against_oracle(scalar_matrix(GrassmannAlgebra(0, QQ), table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_transitivity_matches_exhaustive_oracle_perturbed(seed):
+    """A transitive matrix over E with one entry moved: noncommutative
+    entries, and failures that need not show on the diagonal."""
+    E = GrassmannAlgebra(2, QQ)
+    rng = random.Random(seed)
+    n = rng.randrange(1, 5)
+    T = transitive_from_units(E, [E.random_unit(rng) for _ in range(n)])
+    check_against_oracle(T.matrix)
+    rows = [list(r) for r in T.matrix.rows]
+    i, j = rng.randrange(n), rng.randrange(n)
+    rows[i][j] = rows[i][j] + rng.choice(
+        [E.one, E.generator(1), E.generator(1) * E.generator(2),
+         E.random_element(rng)])
+    check_against_oracle(Matrix(E, rows))
+
+
+def test_transitivity_witnesses():
+    E = GrassmannAlgebra(0, QQ)
+    # every triple holds in the zero matrix, but t_11 = 0: not transitive,
+    # yet Theta_T is multiplicative, so no pair of matrix units separates it
+    Z = Matrix.zeros(E, 2)
+    assert not is_transitive(Z) and matrix_units_counterexample(Z) is None
+    # the failure sits away from the first row and column
+    M = scalar_matrix(E, [[1, 1, 1], [1, 1, 1], [1, 2, 1]])
+    assert not is_transitive(M)
+    Eij, Ejk = matrix_units_counterexample(M)
+    assert hadamard(M, Eij * Ejk) != hadamard(M, Eij) * hadamard(M, Ejk)
 
 
 def test_p_matrix_powers():

@@ -1,6 +1,8 @@
 """Ring contract, endomorphisms, Lie nilpotency, R[z], and the oracle."""
 
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from lienil import (Endomorphism, GrassmannAlgebra, Matrix, PolynomialRing,
                     epsilon, extend_endomorphism_to_poly, fixed_ring_member,
                     is_lie_nilpotent_index, left_normed_commutator,
                     oracle_ring)
-from lienil.rings import identity_endomorphism
+from lienil.rings import ContextMismatchError, identity_endomorphism
 
 
 def test_commutators():
@@ -127,3 +129,31 @@ def test_context_mismatch_is_rejected():
     E3 = GrassmannAlgebra(3, QQ)
     with pytest.raises(RingError):
         E2.generator(1) + E3.generator(1)
+    v1 = E2.generator(1)
+    z = PolynomialRing(E2).z
+    a = oracle_ring(["a"]).var("a")
+    cases = [(v1 + 2, E3.generator(1)),
+             (z * v1 + z + 1, PolynomialRing(E3).z),
+             (a * a - a, oracle_ring(["b"]).var("b"))]
+    for x, y in cases:
+        ring = x.ring
+        # scalars of every kind lift through from_scalar on either side
+        for c in (3, Fraction(-1, 2), QQ.from_fraction(5)):
+            assert c - x == ring.from_scalar(c) - x
+            assert x - c == x - ring.from_scalar(c)
+            assert c * x == ring.from_scalar(c) * x
+            assert c + x == x + ring.from_scalar(c)
+        # an element of another ring of the same class is rejected
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(ContextMismatchError):
+                op(x, y)
+            with pytest.raises(ContextMismatchError):
+                op(y, x)
+    # R[z] also lifts elements of its base ring, on either side
+    Rz = PolynomialRing(E2)
+    assert z + v1 == z + Rz.constant(v1) and v1 + z == Rz.constant(v1) + z
+    assert v1 * z == Rz.constant(v1) * z and z - v1 == z - Rz.constant(v1)
+    # no operand accepts an element of an unrelated ring
+    for x, y in ((z, E3.generator(1)), (v1, a)):
+        with pytest.raises(TypeError):
+            x + y
