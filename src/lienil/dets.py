@@ -13,14 +13,12 @@ from itertools import permutations
 
 from .matrices import Matrix, MatrixError
 from .parallel import map_reduce_sum
-from .rings import PolynomialRing, RingError, fixed_ring_member, substitute
-from .supermatrix import SuperAlgebraSpec, embed, p_matrix
+from .rings import (CostCapError, PolynomialRing, RingError,
+                    fixed_ring_member, substitute)
+from .supermatrix import root_embedding
 
 MAX_N = 5                 # the (n!)^2 enumerations stop here
-
-
-class CostCapError(RingError):
-    pass
+MAX_DEGREE = 25           # charpoly degree n^k: n = 5, k = 2
 
 
 def _require_square(A, what):
@@ -29,6 +27,12 @@ def _require_square(A, what):
     if A.nrows > MAX_N:
         raise CostCapError(
             f"{what}: n={A.nrows} exceeds the enumeration cap {MAX_N}")
+
+
+def _require_degree(n, k):    # k first: no n^k is built for a huge k
+    if n > 1 and (k > MAX_DEGREE or n ** k > MAX_DEGREE):
+        raise CostCapError(
+            f"charpoly: degree n^k = {n}^{k} exceeds the cap {MAX_DEGREE}")
 
 
 def _sign(perm):
@@ -186,6 +190,7 @@ def charpoly(A, k, side="right"):
     """p_{A,k}(z) = rdet_(k)(z I - A) (resp. ldet for the left side),
     computed by lifting A to R[z] and reusing the generic determinant code."""
     _require_square(A, "charpoly")
+    _require_degree(A.nrows, k)
     ring = A.ring
     rz = PolynomialRing(ring)
     n = A.nrows
@@ -233,11 +238,9 @@ def integrality_certificate(r, delta, n, k):
     """Thm-style certificate: embed r via the root-of-unity transitive
     matrix, take the k-th characteristic polynomials of the image, and
     normalize by the invertible integer leading coefficient."""
+    _require_degree(n, k)
     ring = r.ring
-    e = ring.field.primitive_root(n)
-    T = p_matrix(ring, e, n=n)
-    spec = SuperAlgebraSpec(ring, delta, T)
-    A = embed(spec, r)
+    A = root_embedding(r, delta, n)
     lead = leading_coefficient_value(n, k)
     N = n ** k
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .rings import (SCALARS, ContextMismatchError, Endomorphism, Ring,
-                    RingElement, RingError)
+from .rings import (SCALARS, ContextMismatchError, CostCapError,
+                    Endomorphism, Ring, RingElement, RingError)
 from .scalars import QQ
 
 SOLVER_CAP = 12  # solve_constraint materializes a 2^g x 2^g matrix
@@ -231,8 +231,13 @@ class GrassmannElement(RingElement):
             return NotImplemented
         return self.coeffs == o.coeffs
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.coeffs.items())))
+    __hash__ = RingElement.__hash__
+
+    def _scalar(self):
+        return None if self.coeffs.keys() - {0} else self.scalar_part
+
+    def _key(self):
+        return frozenset(self.coeffs.items())
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -390,7 +395,7 @@ def solve_constraint(delta, t):
     if not isinstance(algebra, GrassmannAlgebra):
         raise RingError("solve_constraint works on Grassmann algebras")
     if algebra.g > SOLVER_CAP:
-        raise RingError(f"solver cap exceeded: g={algebra.g} > {SOLVER_CAP}")
+        raise CostCapError(f"solver cap exceeded: g={algebra.g} > {SOLVER_CAP}")
     t = algebra.from_scalar(t) if isinstance(t, SCALARS) else t
     dim = algebra.dim
     # column j holds the coordinates of (delta - t*.) applied to basis monomial j

@@ -6,7 +6,9 @@ O(n^2) products through the first row and column; see ``_failing_triple``."""
 
 from __future__ import annotations
 
-from .rings import SCALARS, ContextMismatchError, Ring, RingError, check_same_ring
+from .rings import (SCALARS, ContextMismatchError, CostCapError, Ring,
+                    RingError, check_same_ring)
+from .scalars import MAX_ORDER
 
 
 class MatrixError(RingError):
@@ -255,6 +257,8 @@ def blow_up(T, cuts):
     if any(a >= b for a, b in zip(full, full[1:])):
         raise MatrixError("cut sequence must be strictly increasing from 0")
     m = cuts[-1]
+    if m > MAX_ORDER:           # m x m entries, and m^2 solves in a shape
+        raise CostCapError(f"blow-up size {m} exceeds the cap {MAX_ORDER}")
 
     def block_index(p):
         for i in range(1, len(full)):

@@ -26,6 +26,10 @@ class ContextMismatchError(RingError):
     pass
 
 
+class CostCapError(RingError):
+    """The predicted work is over a fixed cap (CLI exit code 3)."""
+
+
 # Scalars that every ring lifts through ``Ring.from_scalar``.
 SCALARS = (int, Fraction, Cyc)
 
@@ -39,7 +43,11 @@ def check_same_ring(x, y):
 class RingElement:
     """Operators shared by the element classes.  A subclass defines
     ``ring``, ``__add__``, ``__neg__``, ``__mul__`` and ``__eq__`` on itself;
-    its ``__add__``, ``__mul__`` and ``__eq__`` start with ``_coerce``."""
+    its ``__add__``, ``__mul__`` and ``__eq__`` start with ``_coerce``.  So
+    that == and hash agree, an element equal to a scalar (an R[z] constant:
+    to a base element) hashes like that value: a subclass defines that value
+    as ``_scalar()`` (None if there is none) and its other content as
+    ``_key()``, and rebinds ``__hash__``, since defining ``__eq__`` unsets it."""
 
     __slots__ = ()
 
@@ -70,6 +78,10 @@ class RingElement:
     def __rmul__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is None else o * self
+
+    def __hash__(self):
+        value = self._scalar()
+        return hash((self.ring, self._key()) if value is None else value)
 
 
 class Ring:
@@ -313,8 +325,13 @@ class RPolynomial(RingElement):
             return NotImplemented
         return self.coeffs == o.coeffs
 
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
+    __hash__ = RingElement.__hash__
+
+    def _scalar(self):
+        return self.coeff(0) if len(self.coeffs) < 2 else None
+
+    def _key(self):
+        return self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -449,8 +466,14 @@ class OracleElement(RingElement):
             return NotImplemented
         return sympy.expand(self.expr - o.expr) == 0
 
-    def __hash__(self):
-        return hash((self.ring, self.expr))
+    __hash__ = RingElement.__hash__
+
+    def _scalar(self):
+        e = self.expr
+        return Fraction(int(e.p), int(e.q)) if e.is_Rational else None
+
+    def _key(self):
+        return self.expr
 
     def __bool__(self):
         return self.expr != 0

@@ -169,8 +169,11 @@ def delta_from_json(ring, doc):
             return sigma(ring, validate=False)
         raise SerializationError(f"unknown endomorphism {doc!r}")
     if isinstance(doc, dict) and "generator_images" in doc:
-        images = [element_from_json(ring, e) for e in doc["generator_images"]]
-        return endomorphism_from_generator_images(ring, images)
+        images = doc["generator_images"]
+        if not isinstance(images, list):
+            raise SerializationError("generator_images must be a list")
+        return endomorphism_from_generator_images(
+            ring, [element_from_json(ring, e) for e in images])
     raise SerializationError("bad endomorphism descriptor")
 
 

@@ -13,7 +13,7 @@ from .grassmann import (ComponentBasis, GrassmannAlgebra, epsilon, rho, sigma,
                         solve_constraint)
 from .matrices import Matrix, MatrixError, TransitiveMatrix, blow_up, transitive_from_units
 from .rings import RingError, fixed_ring_member
-from .scalars import CyclotomicField
+from .scalars import MAX_ORDER, CyclotomicField, OrderCapError
 
 
 class SuperMatrixError(RingError):
@@ -307,6 +307,17 @@ def p_matrix(ring, u, n=2):
     """P^(u) of size n over ``ring``: entries u^{i-j} embedded as scalars."""
     units = [ring.from_scalar(u ** (i - 1)) for i in range(1, n + 1)]
     return transitive_from_units(ring, units)
+
+
+def root_embedding(r, delta, n, root=0):
+    """embed(r) in M_n(R, delta, P^(e)) for e a primitive root of unity of
+    order ``root`` (n when 0).  The embedding costs about n^3 products, so
+    n is capped at MAX_ORDER."""
+    if n > MAX_ORDER:
+        raise OrderCapError(f"embedding size {n} exceeds the cap {MAX_ORDER}")
+    ring = r.ring
+    e = ring.field.primitive_root(root or n)
+    return embed(SuperAlgebraSpec(ring, delta, p_matrix(ring, e, n=n)), r)
 
 
 def hadamard_identity(ring, n):

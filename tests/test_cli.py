@@ -1,13 +1,43 @@
 """End-to-end CLI runs: JSON in, JSON out, and the exit code contract."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lienil.cli import main
 from lienil.scalars import MAX_ORDER
 
 GRING = {"type": "grassmann", "g": 2, "root_order": 1}
+PAIR = {"n": 2, "entries": [["1", "-1"], ["-1", "1"]]}
+MIXED = {"n": 2, "entries": [["1", {"coeffs": {"1": "1"}}],
+                             [{"coeffs": {"2": "1"}}, "2"]]}
+SPEC = {"ring": GRING, "delta": "epsilon", "T": PAIR}
+ELEM = {"ring": GRING, "delta": "epsilon", "element": {"coeffs": {"1": "1"}}}
+# Every file-reading command: (argv before the file, argv after it, a valid
+# document).
+FILE_COMMANDS = [
+    (["transitive", "check"], [], {"ring": GRING, "matrix": PAIR}),
+    (["transitive", "build"], [], {"ring": GRING, "units": ["1", "-2"]}),
+    (["transitive", "blowup"], [], {"ring": GRING, "matrix": PAIR,
+                                    "cuts": [1, 3]}),
+    (["transitive", "factor"], [], {"ring": GRING, "matrix": PAIR}),
+    (["theta"], [], {"ring": GRING, "T": PAIR, "A": MIXED}),
+    (["sdet"], [], {"ring": GRING, "matrix": MIXED}),
+    (["preadjoint"], [], {"ring": GRING, "matrix": MIXED}),
+    (["rdet"], ["--k", "2"], {"ring": GRING, "matrix": MIXED}),
+    (["ldet"], [], {"ring": GRING, "matrix": MIXED}),
+    (["charpoly"], [], {"ring": GRING, "matrix": MIXED}),
+    (["ch-check"], [], {"ring": GRING, "matrix": MIXED}),
+    (["embed"], ["--n", "2"], ELEM),
+    (["conditions"], [], SPEC),
+    (["membership"], [], {**SPEC, "matrix": MIXED}),
+    (["sample"], ["--seed", "1"], SPEC),
+    (["integrality"], ["--n", "2", "--k", "1"], ELEM),
+]
+CHECKS = {"transitive check", "ch-check", "membership", "integrality"}
 
 
 def write(tmp_path, name, doc):
@@ -131,7 +161,7 @@ def test_example_command(capsys):
     assert len(doc["shape"]) == 2 and doc["shape"][0][0]["dim"] == 2
 
 
-def test_invalid_input_exit_code(tmp_path, capsys):
+def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "nope.json")
     assert main(["sdet", missing]) == 2
     capsys.readouterr()
@@ -162,6 +192,34 @@ def test_invalid_input_exit_code(tmp_path, capsys):
         "ring": GRING, "delta": "epsilon", "element": "1"})
     assert main(["embed", src, "--n", "0"]) == 2
     assert "error" in json.loads(capsys.readouterr().err)
+    # each top-level field is type-checked by its reader
+    fields = [
+        (["transitive", "blowup"], {"ring": GRING, "matrix": PAIR, "cuts": "12"}),
+        (["transitive", "blowup"], {"ring": GRING, "matrix": PAIR,
+                                    "cuts": [1.5, 3]}),
+        (["transitive", "blowup"], {"ring": GRING, "matrix": PAIR,
+                                    "cuts": [True, 3]}),
+        (["transitive", "blowup"], {"ring": GRING, "matrix": PAIR}),
+        (["transitive", "build"], {"ring": GRING, "units": 5}),
+        (["transitive", "build"], {"units": ["1"]}),
+        (["embed"], {"ring": GRING, "delta": {"generator_images": 5},
+                     "element": "1"}),
+        (["embed"], {"ring": GRING, "delta": "epsilon", "element": 5}),
+        (["theta"], {"ring": GRING, "T": PAIR, "A": [["1"]]}),
+    ]
+    for i, (cmd, doc) in enumerate(fields):
+        src = write(tmp_path, f"field{i}.json", doc)
+        argv = cmd + [src] + (["--n", "2"] if cmd == ["embed"] else [])
+        assert main(argv) == 2, doc
+        assert "error" in json.loads(capsys.readouterr().err), doc
+    # an unwritable --report path is bad input too, not a traceback
+    import lienil.acceptance as acceptance
+    monkeypatch.setattr(acceptance, "reproduce_all",
+                        lambda slow=False: ({"results": [],
+                                             "all_passed": True}, {}))
+    report = str(tmp_path / "absent" / "report.json")
+    assert main(["reproduce-all", "--report", report]) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
 
 
 def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
@@ -179,10 +237,104 @@ def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
         "matrix": {"n": 1, "entries": [["1"]]}})
     elem = write(tmp_path, "embed.json", {
         "ring": GRING, "delta": "epsilon", "element": "1"})
+    # charpoly degree n^k (also through ch-check and integrality), blow-up
+    # size (also through examples 5.1 and 5.3) and the solver's g
+    small = write(tmp_path, "small.json", {"ring": GRING, "matrix": PAIR})
+    cuts = write(tmp_path, "cuts.json", {
+        "ring": GRING, "matrix": PAIR, "cuts": [1, 100000000]})
     for argv in (["sdet", src],
                  ["example", "5.2", "--n", str(too_big), "--g", "2"],
                  ["embed", elem, "--n", "2", "--root", str(too_big)],
                  ["embed", elem, "--n", str(too_big)],
-                 ["embed", elem, "--n", str(too_big), "--root", "1"]):
+                 ["embed", elem, "--n", str(too_big), "--root", "1"],
+                 ["charpoly", small, "--k", "5"],
+                 ["charpoly", small, "--k", "1000000000"],
+                 ["ch-check", small, "--k", "5", "--side", "left"],
+                 ["integrality", elem, "--n", "2", "--k", "5"],
+                 ["integrality", elem, "--n", "6", "--k", "2"],
+                 ["transitive", "blowup", cuts],
+                 ["example", "5.1", "--n", str(too_big), "--g", "2"],
+                 ["example", "5.3", "--n", str(too_big), "--g", "2"],
+                 ["example", "5.1", "--n", "2", "--g", "13"]):
         assert main(argv) == 3, argv
         assert "error" in json.loads(capsys.readouterr().err), argv
+
+
+def test_pretty_output_is_the_same_json(tmp_path, capsys, monkeypatch):
+    """--pretty only indents: for every subcommand it parses to the same
+    object as the compact output, with the same exit code."""
+    import lienil.acceptance as acceptance
+    results = [{"criterion": 1, "name": "transitivity", "passed": True,
+                "details": {"examples": 3}}]
+    monkeypatch.setattr(acceptance, "reproduce_all",
+                        lambda slow=False: ({"results": results,
+                                             "all_passed": True}, {"1": 0.5}))
+    commands = [before + [write(tmp_path, f"doc{i}.json", doc)] + after
+                for i, (before, after, doc) in enumerate(FILE_COMMANDS)]
+    commands += [["example", "5.3", "--n", "3", "--g", "2"], ["reproduce-all"]]
+    for argv in commands:
+        code = main(argv)
+        compact = capsys.readouterr().out
+        pretty_code = main(argv + ["--pretty"])
+        pretty = capsys.readouterr().out
+        assert code == pretty_code, argv
+        assert json.loads(pretty) == json.loads(compact), argv
+        assert "\n" not in compact.rstrip("\n"), argv
+        assert pretty.startswith(("{\n  ", "[\n  ")), argv
+    code = main(["reproduce-all"])
+    assert code == 0
+    assert capsys.readouterr().out == acceptance.canonical_report(results) + "\n"
+
+
+# --- boundary fuzz: random JSON at the top level and in each known field ---
+
+# Leaves mix valid fragments of the formats with arbitrary values, so that
+# the fuzz reaches past the outermost type checks.
+TOKENS = ["1", "-1", "0", "2/3", "1/0", "[0, 1]", "[1", "1,2", "2", "x",
+          "epsilon", "sigma", "rho_e:2", "rho_e:x", "grassmann", "oracle", ""]
+KEYS = ["ring", "matrix", "entries", "n", "coeffs", "g", "type",
+        "root_order", "generator_images", "T", "A", "units", "cuts", "",
+        "1", "1,2"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4)
+    | st.floats(-4, 4, allow_nan=False) | st.sampled_from(TOKENS)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner,
+                      max_size=3),
+    max_leaves=10)
+MISSING = object()
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS,
+                         ids=[" ".join(c[0]) for c in FILE_COMMANDS])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_documents_exit_cleanly(command, data, monkeypatch):
+    """Every document ends in exit 0-3 and never raises: exit 1 only from a
+    check command, and on exit 2 or 3 stderr is one JSON error object."""
+    before, after, valid = command
+    key = data.draw(st.sampled_from([None] + sorted(valid)), label="field")
+    if key is None:
+        doc = data.draw(json_values, label="document")
+    else:
+        doc = dict(valid)
+        value = data.draw(st.just(MISSING) | json_values, label="value")
+        if value is MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(before + ["-"] + after)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert " ".join(before) in CHECKS
+    if code in (0, 1):
+        assert isinstance(json.loads(out.getvalue()), dict)
+    else:
+        assert out.getvalue() == ""
+        assert "error" in json.loads(err.getvalue())

@@ -157,3 +157,30 @@ def test_context_mismatch_is_rejected():
     for x, y in ((z, E3.generator(1)), (v1, a)):
         with pytest.raises(TypeError):
             x + y
+
+
+def test_equal_elements_hash_alike():
+    """== lifts scalars (and, in R[z], base elements), so an element equal
+    to such a value must hash like it: a set holds them once."""
+    from lienil import CyclotomicField
+    E = GrassmannAlgebra(2, QQ)
+    v1 = E.generator(1)
+    Rz = PolynomialRing(E)
+    O = oracle_ring(["x"])
+    F3 = CyclotomicField(3)
+    E3 = GrassmannAlgebra(2, F3)
+    pairs = [(E.one, 1), (E.zero, 0), (E.from_scalar(Fraction(-3, 2)),
+                                        Fraction(-3, 2)),
+             (E3.from_scalar(F3.e), F3.e), (E3.one, F3.one),
+             (Rz.constant(v1), v1), (Rz.one, E.one), (Rz.one, 1),
+             (Rz.zero, 0), (Rz.zero, E.zero),
+             (O.one, 1), (O.zero, 0), (O.element("-2/3"), Fraction(-2, 3)),
+             (O.var("x") - O.var("x") + 5, 5)]
+    for x, value in pairs:
+        assert x == value and value == x, (x, value)
+        assert hash(x) == hash(value), (x, value)
+        assert len({x, value}) == 1, (x, value)
+    # elements that are not scalars still hash by ring and content
+    assert len({v1, E.one, Rz.z, O.var("x"), 2}) == 5
+    assert hash(v1 + 1) == hash(1 + v1)
+    assert hash(Rz.z * v1) == hash(v1 * Rz.z)
