@@ -23,11 +23,11 @@ from .matrices import (TransitiveMatrix, blow_up, factor_transitive,
 from .rings import CostCapError, RingError
 from .scalars import OrderCapError, ScalarError
 from .serialize import (SerializationError, delta_from_json,
-                        element_from_json, element_to_json, matrix_from_json,
-                        matrix_to_json, ring_from_json, spec_to_json)
-from .supermatrix import (SuperAlgebraSpec, check_embedding_conditions,
-                          example_algebra, is_supermatrix, root_embedding,
-                          sample_supermatrix)
+                        element_from_json, element_to_json, field,
+                        matrix_from_json, matrix_to_json, ring_from_json,
+                        spec_from_json, spec_to_json)
+from .supermatrix import (check_embedding_conditions, example_algebra,
+                          is_supermatrix, root_embedding, sample_supermatrix)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,10 +41,9 @@ def _verdict(ok):
 
 class Document:
     """The JSON input object, read once, and its ring, decoded once.  Each
-    kind of top-level field has one reader, which checks the field's JSON
-    type and decodes it over that ring.  A missing or mistyped field raises
-    SerializationError, an unreadable file OSError and invalid JSON
-    ValueError; ``main`` turns each into exit 2."""
+    kind of top-level field has one reader, which checks its JSON type and
+    decodes it over that ring.  ``main`` turns a missing or mistyped field
+    (SerializationError), an unreadable file or invalid JSON into exit 2."""
 
     def __init__(self, path):
         if path == "-":
@@ -55,39 +54,32 @@ class Document:
         if not isinstance(doc, dict):
             raise SerializationError("JSON input must be an object")
         self.doc = doc
-        self.ring = ring_from_json(self.field("ring"))
-
-    def field(self, key, kind=object):
-        if key not in self.doc:
-            raise SerializationError(f"missing field {key!r}")
-        if not isinstance(self.doc[key], kind):
-            raise SerializationError(f"field {key!r} must be a {kind.__name__}")
-        return self.doc[key]
+        self.ring = ring_from_json(field(doc, "ring"))
 
     def matrix(self, key="matrix"):
-        return matrix_from_json(self.ring, self.field(key))
+        return matrix_from_json(self.ring, field(self.doc, key))
 
     def transitive(self, key="matrix"):
         return TransitiveMatrix(self.matrix(key))
 
     def element(self):
-        return element_from_json(self.ring, self.field("element"))
+        return element_from_json(self.ring, field(self.doc, "element"))
 
     def delta(self):
-        return delta_from_json(self.ring, self.field("delta"))
+        return delta_from_json(self.ring, field(self.doc, "delta"))
 
     def units(self):
         return [element_from_json(self.ring, u)
-                for u in self.field("units", list)]
+                for u in field(self.doc, "units", list)]
 
     def cuts(self):
-        cuts = self.field("cuts", list)
+        cuts = field(self.doc, "cuts", list)
         if not all(type(c) is int for c in cuts):
             raise SerializationError("cuts must be a list of integers")
         return cuts
 
     def spec(self):
-        return SuperAlgebraSpec(self.ring, self.delta(), self.transitive("T"))
+        return spec_from_json(self.doc, self.ring)
 
 
 # --- subcommand handlers: (document, args) -> (payload, exit code) ---
@@ -264,10 +256,9 @@ def main(argv=None):
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)
         return EXIT_BAD_INPUT
-    if payload is not None:
-        print(json.dumps(payload, sort_keys=True,
-                         indent=2 if args.pretty else None,
-                         separators=None if args.pretty else (",", ":")))
+    if payload is not None:      # compact output is the canonical encoding
+        print(json.dumps(payload, sort_keys=True, indent=2) if args.pretty
+              else acceptance.canonical_report(payload))
     return code
 
 

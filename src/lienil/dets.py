@@ -18,7 +18,9 @@ from .rings import (CostCapError, PolynomialRing, RingError,
 from .supermatrix import root_embedding
 
 MAX_N = 5                 # the (n!)^2 enumerations stop here
-MAX_DEGREE = 25           # charpoly degree n^k: n = 5, k = 2
+# charpoly degree n^k.  At g = 4 the costliest degree admitted, n=5, k=3,
+# takes 13 s (`embed --n 100` takes 23 s); the next, 5^4 = 625, over 90 s.
+MAX_DEGREE = 512
 
 
 def _require_square(A, what):

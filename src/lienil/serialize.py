@@ -193,8 +193,18 @@ def spec_to_json(spec):
             "n": spec.n}
 
 
-def spec_from_json(doc):
-    ring = ring_from_json(doc["ring"])
-    delta = delta_from_json(ring, doc["delta"])
-    T = TransitiveMatrix(matrix_from_json(ring, doc["T"]))
+def field(doc, key, kind=object):
+    """doc[key], which must be present and of the JSON type kind."""
+    if key not in doc:
+        raise SerializationError(f"missing field {key!r}")
+    if not isinstance(doc[key], kind):
+        raise SerializationError(f"field {key!r} must be a {kind.__name__}")
+    return doc[key]
+
+
+def spec_from_json(doc, ring=None):     # None: decode doc["ring"]
+    if ring is None:
+        ring = ring_from_json(field(doc, "ring"))
+    delta = delta_from_json(ring, field(doc, "delta"))
+    T = TransitiveMatrix(matrix_from_json(ring, field(doc, "T")))
     return SuperAlgebraSpec(ring, delta, T)

@@ -237,6 +237,8 @@ def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
         "matrix": {"n": 1, "entries": [["1"]]}})
     elem = write(tmp_path, "embed.json", {
         "ring": GRING, "delta": "epsilon", "element": "1"})
+    elem6 = write(tmp_path, "embed6.json", {
+        "ring": dict(GRING, root_order=6), "delta": "epsilon", "element": "1"})
     # charpoly degree n^k (also through ch-check and integrality), blow-up
     # size (also through examples 5.1 and 5.3) and the solver's g
     small = write(tmp_path, "small.json", {"ring": GRING, "matrix": PAIR})
@@ -247,17 +249,19 @@ def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
                  ["embed", elem, "--n", "2", "--root", str(too_big)],
                  ["embed", elem, "--n", str(too_big)],
                  ["embed", elem, "--n", str(too_big), "--root", "1"],
-                 ["charpoly", small, "--k", "5"],
+                 ["charpoly", small, "--k", "10"],
                  ["charpoly", small, "--k", "1000000000"],
-                 ["ch-check", small, "--k", "5", "--side", "left"],
-                 ["integrality", elem, "--n", "2", "--k", "5"],
-                 ["integrality", elem, "--n", "6", "--k", "2"],
+                 ["ch-check", small, "--k", "10", "--side", "left"],
+                 ["integrality", elem, "--n", "2", "--k", "10"],
+                 ["integrality", elem6, "--n", "6", "--k", "2"],
                  ["transitive", "blowup", cuts],
                  ["example", "5.1", "--n", str(too_big), "--g", "2"],
                  ["example", "5.3", "--n", str(too_big), "--g", "2"],
                  ["example", "5.1", "--n", "2", "--g", "13"]):
         assert main(argv) == 3, argv
         assert "error" in json.loads(capsys.readouterr().err), argv
+    # the degree cap n^k <= 512 still admits 2^9
+    assert main(["charpoly", small, "--k", "9"]) == 0
 
 
 def test_pretty_output_is_the_same_json(tmp_path, capsys, monkeypatch):
