@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Micro-benchmark of the scalar and Grassmann layers.
+"""Micro-benchmark of the scalar and Grassmann layers, and of a cold CLI.
 
 Prints microseconds per operation for ``Cyc`` multiplication, addition and
 inverse over Q(zeta_n) at n = 1, 3, 4, 5, and for Grassmann multiplication
 at g = 4 and 8 over Q.  Operands come from fixed seeds, so two checkouts
 time the same inputs.  Each figure is the best of several repeats of a
 loop over a fixed pool of operands.
+
+The cold-start section prints the median wall milliseconds of a fresh
+interpreter for ``python -c pass``, and for ``python -m lienil.cli sdet``
+on a 2x2 Grassmann document and on a 2x2 oracle document; the three runs
+alternate, so drift in the machine's load reaches all of them alike.
 
 Usage: python3 scripts/bench.py [--label NAME] [--out FILE]
 
@@ -19,12 +24,16 @@ import json
 import os
 import platform
 import random
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
 from lienil.grassmann import GrassmannAlgebra  # noqa: E402
 from lienil.scalars import QQ, CyclotomicField  # noqa: E402
@@ -33,6 +42,17 @@ ORDERS = (1, 3, 4, 5)
 GENERATORS = (4, 8)
 POOL = 64
 REPEATS = 9
+COLD_REPEATS = 15
+COLD_DOCS = {
+    "grassmann_sdet": {
+        "ring": {"type": "grassmann", "g": 2, "root_order": 1},
+        "matrix": {"n": 2, "entries": [["1", {"coeffs": {"1": "1"}}],
+                                       [{"coeffs": {"2": "1"}}, "2"]]}},
+    "oracle_sdet": {
+        "ring": {"type": "oracle", "variables": ["a", "b", "c"]},
+        "matrix": {"n": 2, "entries": [["a^2 - 3*b/2", "2*(a + 1)"],
+                                       ["-b*c + 7", "(a - b)**2/3"]]}},
+}
 
 
 def _best_us(fn, pairs, loops):
@@ -82,6 +102,26 @@ def grassmann_cases(g):
     return {f"grassmann_mul_g{g}": _best_us(lambda a, b: a * b, pairs, 3)}
 
 
+def cold_start_cases():
+    """Median wall milliseconds of fresh interpreters (see the docstring)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = {"python_pass": [sys.executable, "-c", "pass"]}
+        for name, doc in COLD_DOCS.items():
+            path = os.path.join(tmp, name + ".json")
+            Path(path).write_text(json.dumps(doc))
+            commands[name] = [sys.executable, "-m", "lienil.cli", "sdet", path]
+        walls = {name: [] for name in commands}
+        for _ in range(COLD_REPEATS):
+            for name, cmd in commands.items():
+                t0 = time.perf_counter()
+                subprocess.run(cmd, env=env, check=True,
+                               stdout=subprocess.DEVNULL)
+                walls[name].append(time.perf_counter() - t0)
+    return {f"cold_{name}": statistics.median(w) * 1e3
+            for name, w in walls.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", default="current",
@@ -97,6 +137,9 @@ def main(argv=None):
         us.update(grassmann_cases(g))
     for name, value in us.items():
         print(f"{name:<24} {value:9.2f} us/op")
+    cold = cold_start_cases()
+    for name, value in cold.items():
+        print(f"{name:<24} {value:9.1f} ms")
 
     if args.out:
         path = Path(args.out)
@@ -104,7 +147,9 @@ def main(argv=None):
         doc.setdefault("host", {
             "machine": platform.machine(), "cpus": os.cpu_count(),
             "python": platform.python_version()})
-        doc[args.label] = {"us_per_op": {k: round(v, 3) for k, v in us.items()}}
+        doc[args.label] = {
+            "us_per_op": {k: round(v, 3) for k, v in us.items()},
+            "cold_start_ms": {k: round(v, 1) for k, v in cold.items()}}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

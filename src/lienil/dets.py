@@ -18,8 +18,11 @@ from .rings import (CostCapError, PolynomialRing, RingError,
 from .supermatrix import root_embedding
 
 MAX_N = 5                 # the (n!)^2 enumerations stop here
-# charpoly degree n^k.  At g = 4 the costliest degree admitted, n=5, k=3,
-# takes 13 s (`embed --n 100` takes 23 s); the next, 5^4 = 625, over 90 s.
+# An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
+# degree n^k in the entries of A.  At g = 4 the costliest degree admitted,
+# n=5, k=3, takes 13 s for charpoly and 19 s for rdet on dense entries
+# (`embed --n 100` takes 23 s); the next, 5^4 = 625, over 90 s.  A 1x1
+# chain is held to the length a 2x2 one gets.
 MAX_DEGREE = 512
 
 
@@ -31,10 +34,10 @@ def _require_square(A, what):
             f"{what}: n={A.nrows} exceeds the enumeration cap {MAX_N}")
 
 
-def _require_degree(n, k):    # k first: no n^k is built for a huge k
-    if n > 1 and (k > MAX_DEGREE or n ** k > MAX_DEGREE):
-        raise CostCapError(
-            f"charpoly: degree n^k = {n}^{k} exceeds the cap {MAX_DEGREE}")
+def _require_chain(n, k):     # k first: no n^k is built for a huge k
+    if k > MAX_DEGREE or max(n, 2) ** k > MAX_DEGREE:
+        raise CostCapError(f"adjoint chain: k={k} at n={n} exceeds the degree "
+                           f"cap max(n, 2)^k <= {MAX_DEGREE}")
 
 
 def _sign(perm):
@@ -138,6 +141,8 @@ def adjoint_sequence(A, k, side="right"):
         raise RingError("side must be 'right' or 'left'")
     if k < 1:
         raise RingError("k must be >= 1")
+    _require_square(A, "adjoint chain")
+    _require_chain(A.nrows, k)
     adjoints, products = [], []
     product = A
     for _ in range(k):
@@ -192,7 +197,6 @@ def charpoly(A, k, side="right"):
     """p_{A,k}(z) = rdet_(k)(z I - A) (resp. ldet for the left side),
     computed by lifting A to R[z] and reusing the generic determinant code."""
     _require_square(A, "charpoly")
-    _require_degree(A.nrows, k)
     ring = A.ring
     rz = PolynomialRing(ring)
     n = A.nrows
@@ -240,7 +244,7 @@ def integrality_certificate(r, delta, n, k):
     """Thm-style certificate: embed r via the root-of-unity transitive
     matrix, take the k-th characteristic polynomials of the image, and
     normalize by the invertible integer leading coefficient."""
-    _require_degree(n, k)
+    _require_chain(n, k)
     ring = r.ring
     A = root_embedding(r, delta, n)
     lead = leading_coefficient_value(n, k)

@@ -5,15 +5,18 @@ polynomial ring) subclasses Ring.  Elements carry a ``.ring`` attribute and
 overload +, -, *; elements of different rings never mix.  The element
 classes subclass RingElement, which lifts scalars and derives subtraction
 and the reflected operators from each class's own +, unary - and *.  A
-commutative multivariate polynomial ring over Q (backed by sympy) serves as
-an oracle for cross-validating the noncommutative determinant code.
+commutative multivariate polynomial ring over Q serves as an oracle for
+cross-validating the noncommutative determinant code.  It is backed by
+sympy, which is imported only when an oracle ring is built: no other ring
+loads it.
 """
 
 from __future__ import annotations
 
+import keyword
+import math
+import re
 from fractions import Fraction
-
-import sympy
 
 from .scalars import QQ, Cyc
 
@@ -374,15 +377,35 @@ def extend_endomorphism_to_poly(delta):
 # Commutative multivariate polynomial oracle (sympy-backed)
 # --------------------------------------------------------------------------
 
+def _sympy():
+    """sympy, imported on first use: only the oracle ring needs it."""
+    import sympy
+    return sympy
+
+
+# Oracle entry text: integers, names, + - * / ** ^ and parentheses.
+_NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)
+_TOKEN = re.compile(rf"\d+|{_NAME.pattern}|\*\*|[-+*/^()]", re.ASCII)
+_ENTRY = re.compile(rf"(?:\s*(?:{_TOKEN.pattern}))*\s*", re.ASCII)
+# Predicted size of a parsed entry: an upper bound on its terms once
+# expanded, and on the bits of its coefficients.  sympy expands
+# (a+b+c+d+1)**15, 3876 terms, in 2.5 s and **18, 7315 terms, in 4.8 s.
+MAX_ORACLE_TERMS = 4096
+MAX_ORACLE_BITS = 8192     # 2466 digits, under CPython's int-to-str limit
+
+
 class OracleRing(Ring):
     """Exact commutative polynomial ring over Q with classical det/adj
     available; used to cross-validate the noncommutative determinants."""
 
     def __init__(self, variables):
         self.variables = tuple(variables)
-        self.symbols = sympy.symbols(self.variables) if self.variables else ()
-        if len(self.variables) == 1:
-            self.symbols = (self.symbols,)
+        for v in self.variables:
+            if (not isinstance(v, str) or not _NAME.fullmatch(v)
+                    or keyword.iskeyword(v)):
+                raise RingError(f"oracle variable {v!r} is not a name")
+        sympy = _sympy()
+        self.symbols = tuple(sympy.Symbol(v) for v in self.variables)
         self.field = QQ
 
     def __eq__(self, other):
@@ -395,12 +418,36 @@ class OracleRing(Ring):
         return f"OracleRing({list(self.variables)!r})"
 
     def element(self, expr):
-        return OracleElement(self, sympy.expand(sympy.sympify(expr)))
+        """The element for a sympy expression or an int; text goes
+        through ``parse``."""
+        if isinstance(expr, str):
+            return self.parse(expr)
+        expr = _sympy().sympify(expr, strict=True)
+        return OracleElement(self, expr.expand())
+
+    def parse(self, text):
+        """The polynomial that ``text`` writes, or RingError.  The text holds
+        integers, declared variables, + - * / ** and ^ (read as **),
+        parentheses and whitespace, with Python's precedence; a divisor must
+        be a nonzero constant and an exponent a constant integer >= 0.  The
+        sympy expression is built token by token, never evaluated as Python,
+        and an entry over MAX_ORACLE_TERMS or MAX_ORACLE_BITS raises
+        CostCapError."""
+        if not isinstance(text, str):
+            raise RingError(f"an oracle entry must be a string, not {text!r}")
+        if not _ENTRY.fullmatch(text):
+            raise RingError(f"oracle entry {text!r} holds a character other "
+                            "than digits, names, + - * / ^ ( ) and spaces")
+        try:
+            expr = _EntryParser(self, text).parse()
+        except (RecursionError, ValueError) as exc:   # deep nesting, long ints
+            raise RingError(f"oracle entry {text!r}: {exc}") from None
+        return OracleElement(self, expr.expand())
 
     def var(self, name):
         if name not in self.variables:
             raise RingError(f"unknown oracle variable {name!r}")
-        return self.element(sympy.Symbol(name))
+        return self.element(_sympy().Symbol(name))
 
     @property
     def zero(self):
@@ -413,7 +460,7 @@ class OracleRing(Ring):
     def from_scalar(self, c):
         c = self.coerce_scalar(c)
         q = c.to_fraction()
-        return self.element(sympy.Rational(q.numerator, q.denominator))
+        return self.element(_sympy().Rational(q.numerator, q.denominator))
 
     def is_central(self, x):
         return True
@@ -427,6 +474,7 @@ class OracleRing(Ring):
         return [self.element(s) for s in self.symbols]
 
     def random_element(self, rng):
+        sympy = _sympy()
         terms = rng.randrange(1, 4)
         expr = sympy.Integer(0)
         for _ in range(terms):
@@ -436,6 +484,98 @@ class OracleRing(Ring):
                 mono *= s ** rng.randrange(0, 2)
             expr += coef * mono
         return self.element(expr)
+
+
+class _EntryParser:
+    """Recursive descent over the tokens of one oracle entry:
+    expr := term (("+"|"-") term)*, term := factor (("*"|"/") factor)*,
+    factor := ("+"|"-") factor | atom [("**"|"^") factor],
+    atom := integer | variable | "(" expr ")".  Each rule returns
+    (sympy expression, predicted terms, predicted coefficient bits), and
+    checks the prediction before it builds the expression."""
+
+    def __init__(self, ring, text):
+        self.text = text
+        self.names = dict(zip(ring.variables, ring.symbols))
+        self.tokens = _TOKEN.findall(text) + [""]     # "" ends the text
+        self.pos = 0
+
+    def parse(self):
+        value = self.expr()
+        if self.tokens[self.pos]:
+            self.fail(f"unexpected {self.tokens[self.pos]!r}")
+        return value[0]
+
+    def fail(self, why):
+        raise RingError(f"oracle entry {self.text!r}: {why}")
+
+    def take(self, *ops):
+        tok = self.tokens[self.pos]
+        if tok in ops:
+            self.pos += 1
+            return tok
+        return None
+
+    def check(self, terms, bits):
+        if terms > MAX_ORACLE_TERMS or bits > MAX_ORACLE_BITS:
+            raise CostCapError(
+                f"oracle entry {self.text!r}: predicted size over the caps "
+                f"{MAX_ORACLE_TERMS} terms, {MAX_ORACLE_BITS} bits")
+        return terms, bits
+
+    def expr(self):
+        parts = [self.term()]
+        while op := self.take("+", "-"):
+            e, t, b = self.term()
+            parts.append((e if op == "+" else -e, t, b))
+        bits = max(p[2] for p in parts) + (len(parts) - 1).bit_length()
+        t, b = self.check(sum(p[1] for p in parts), bits)
+        return _sympy().Add(*(p[0] for p in parts)), t, b
+
+    def term(self):
+        e, t, b = self.factor()
+        while op := self.take("*", "/"):
+            f, u, c = self.factor()
+            if op == "/" and not (f.is_Rational and f):
+                self.fail("a divisor must be a nonzero constant")
+            t, b = self.check(t * u if op == "*" else t, b + c)
+            e = e * f if op == "*" else e / f
+        return e, t, b
+
+    def factor(self):
+        if self.take("-"):
+            e, t, b = self.factor()
+            return -e, t, b
+        if self.take("+"):
+            return self.factor()
+        e, t, b = self.atom()
+        if not self.take("**", "^"):
+            return e, t, b
+        k = self.factor()[0]
+        if not (k.is_Integer and k >= 0):
+            self.fail("an exponent must be a constant integer >= 0")
+        k = int(k)
+        self.check(1, k * b)                # bounds k before the binomial
+        t, b = self.check(math.comb(t + k - 1, k), k * b)
+        return e ** k, t, b
+
+    def atom(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok == "(":
+            value = self.expr()
+            if not self.take(")"):
+                self.fail("unbalanced parentheses")
+            return value
+        if tok in self.names:
+            return self.names[tok], 1, 1
+        if tok.isdigit():
+            n = int(tok)
+            t, b = self.check(1, max(n.bit_length(), 1))
+            return _sympy().Integer(n), t, b
+        if _NAME.fullmatch(tok):
+            self.fail(f"{tok!r} is not a declared variable")
+        self.fail(f"unexpected {tok!r}" if tok else "unexpected end")
 
 
 class OracleElement(RingElement):
@@ -449,7 +589,7 @@ class OracleElement(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OracleElement(self.ring, sympy.expand(self.expr + o.expr))
+        return OracleElement(self.ring, (self.expr + o.expr).expand())
 
     def __neg__(self):
         return OracleElement(self.ring, -self.expr)
@@ -458,13 +598,13 @@ class OracleElement(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OracleElement(self.ring, sympy.expand(self.expr * o.expr))
+        return OracleElement(self.ring, (self.expr * o.expr).expand())
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return sympy.expand(self.expr - o.expr) == 0
+        return (self.expr - o.expr).expand() == 0
 
     __hash__ = RingElement.__hash__
 
@@ -486,18 +626,19 @@ def oracle_ring(variables):
     return OracleRing(variables)
 
 
+def _sympy_matrix(A):
+    return _sympy().Matrix([[e.expr for e in row] for row in A.rows])
+
+
 def classical_det(A):
     """Ordinary determinant of a matrix over an OracleRing."""
-    ring = A.ring
-    m = sympy.Matrix([[e.expr for e in row] for row in A.rows])
-    return ring.element(sympy.expand(m.det()))
+    return A.ring.element(_sympy_matrix(A).det())
 
 
 def classical_adj(A):
     """Ordinary adjugate of a matrix over an OracleRing."""
     from .matrices import Matrix
     ring = A.ring
-    m = sympy.Matrix([[e.expr for e in row] for row in A.rows])
-    adj = m.adjugate()
-    return Matrix(ring, [[ring.element(sympy.expand(adj[i, j]))
-                          for j in range(A.ncols)] for i in range(A.nrows)])
+    adj = _sympy_matrix(A).adjugate()
+    return Matrix(ring, [[ring.element(adj[i, j]) for j in range(A.ncols)]
+                         for i in range(A.nrows)])

@@ -3,13 +3,12 @@ and supermatrix algebra specs.
 
 Grassmann elements: {"g": 4, "coeffs": {"": "3/2", "1,2": "-1"}} where keys
 are comma-separated ascending 1-based generator indices (empty key = scalar
-term) and values are scalar text forms.  Matrices: {"n": 2, "entries":
+term) and values are scalar text forms.  Oracle elements are polynomial
+text, read by ``OracleRing.parse``.  Matrices: {"n": 2, "entries":
 [[elem, ...], ...]}.  Specs: {"ring": {...}, "delta": ..., "T": ..., "n": n}.
 """
 
 from __future__ import annotations
-
-import sympy
 
 from .grassmann import (GrassmannAlgebra, GrassmannElement, epsilon,
                         endomorphism_from_generator_images, rho, sigma)
@@ -21,9 +20,6 @@ from .supermatrix import SuperAlgebraSpec
 
 class SerializationError(RingError):
     pass
-
-
-_NOT_FINITE = (sympy.zoo, sympy.nan, sympy.oo, -sympy.oo)
 
 
 # --- Grassmann elements ---
@@ -90,10 +86,7 @@ def element_from_json(ring, doc):
         raise SerializationError(
             f"a Grassmann element must be a string or an object, not {doc!r}")
     if isinstance(ring, OracleRing):
-        x = ring.element(doc)
-        if x.expr.has(*_NOT_FINITE):
-            raise SerializationError(f"oracle entry {doc!r} is not finite")
-        return x
+        return ring.parse(doc)
     raise SerializationError(f"no JSON decoding for ring {ring!r}")
 
 

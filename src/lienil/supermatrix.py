@@ -12,12 +12,18 @@ from operator import mul
 from .grassmann import (ComponentBasis, GrassmannAlgebra, epsilon, rho, sigma,
                         solve_constraint)
 from .matrices import Matrix, MatrixError, TransitiveMatrix, blow_up, transitive_from_units
-from .rings import RingError, fixed_ring_member
+from .rings import CostCapError, RingError, fixed_ring_member
 from .scalars import MAX_ORDER, CyclotomicField, OrderCapError
 
 
 class SuperMatrixError(RingError):
     pass
+
+
+# A shape solves n^2 constraints, each on a 2^g x 2^g system, for about
+# 2-10 us per unit of n^2 4^g.  The cap admits `example 5.3 --n 100 --g 4`,
+# which takes 17 s, and `example 5.2 --n 2 --g 10`, 12 s.
+MAX_SHAPE_WORK = 2 ** 22
 
 
 class SuperAlgebraSpec:
@@ -53,17 +59,18 @@ def is_supermatrix(spec, A):
     return True
 
 
-def entry_constraint_basis(spec, i, j):
-    """Basis of the (i,j) membership subspace {x : delta(x) = t_ij * x}."""
+def shape(spec):
+    """Per-entry constraint bases, the algebra's 'shape': entry (i, j) is a
+    basis of the membership subspace {x : delta(x) = t_ij * x}.  The
+    predicted work n^2 4^g is capped at MAX_SHAPE_WORK."""
     if not isinstance(spec.ring, GrassmannAlgebra):
         raise SuperMatrixError("constraint bases need a Grassmann context")
-    return solve_constraint(spec.delta, spec.T.entry(i, j))
-
-
-def shape(spec):
-    """Per-entry constraint bases, the algebra's 'shape'."""
-    return [[entry_constraint_basis(spec, i, j) for j in range(1, spec.n + 1)]
-            for i in range(1, spec.n + 1)]
+    work = spec.n ** 2 * 4 ** spec.ring.g
+    if work > MAX_SHAPE_WORK:
+        raise CostCapError(f"shape: n^2 4^g = {work} for n={spec.n}, "
+                           f"g={spec.ring.g} exceeds the cap {MAX_SHAPE_WORK}")
+    return [[solve_constraint(spec.delta, spec.T.entry(i, j))
+             for j in range(1, spec.n + 1)] for i in range(1, spec.n + 1)]
 
 
 def sample_supermatrix(spec, rng, shape_bases=None):

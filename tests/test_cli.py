@@ -3,10 +3,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import lienil
 from lienil.cli import main
 from lienil.scalars import MAX_ORDER
 
@@ -36,6 +40,14 @@ FILE_COMMANDS = [
     (["membership"], [], {**SPEC, "matrix": MIXED}),
     (["sample"], ["--seed", "1"], SPEC),
     (["integrality"], ["--n", "2", "--k", "1"], ELEM),
+]
+ORING = {"type": "oracle", "variables": ["a", "b"]}
+OMATRIX = {"n": 2, "entries": [["a", "2*b - 1"], ["a^2*b", "3/2"]]}
+ORACLE_COMMANDS = [
+    (["sdet"], [], {"ring": ORING, "matrix": OMATRIX}),
+    (["preadjoint"], [], {"ring": ORING, "matrix": OMATRIX}),
+    (["rdet"], ["--k", "2"], {"ring": ORING, "matrix": OMATRIX}),
+    (["charpoly"], [], {"ring": ORING, "matrix": OMATRIX}),
 ]
 CHECKS = {"transitive check", "ch-check", "membership", "integrality"}
 
@@ -172,7 +184,14 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
         {"ring": GRING, "matrix": {"n": 1, "entries": ["1"]}},
     ] + [{"ring": {"type": "oracle", "variables": ["a"]},
           "matrix": {"n": 1, "entries": [[text]]}}
-         for text in ("1/0", "0/0", "a - oo", "a/0")] + [
+         for text in ("1/0", "0/0", "a - oo", "a/0",
+                      # refused before any text reaches sympy
+                      '__import__("os").getpid()', "zz", "1.5", "sin(a)",
+                      # not a polynomial, or not finite
+                      "1/a", "a**(1/2)", "a**-1", "(a - a)**0/0", 5)] + [
+        {"ring": {"type": "oracle", "variables": names},
+         "matrix": {"n": 1, "entries": [["1"]]}}
+        for names in (["x y"], ["lambda"], ["a.b"], [3])] + [
         {"ring": 5, "matrix": {"n": 1, "entries": [["1"]]}},
         {"ring": {"type": "grassmann", "g": "x"},
          "matrix": {"n": 1, "entries": [["1"]]}},
@@ -187,7 +206,8 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
     for i, doc in enumerate(malformed):
         bad = write(tmp_path, f"bad{i}.json", doc)
         assert main(["sdet", bad]) == 2, doc
-        assert "error" in json.loads(capsys.readouterr().err), doc
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in json.loads(err), doc
     src = write(tmp_path, "embed.json", {
         "ring": GRING, "delta": "epsilon", "element": "1"})
     assert main(["embed", src, "--n", "0"]) == 2
@@ -262,6 +282,20 @@ def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
         assert "error" in json.loads(capsys.readouterr().err), argv
     # the degree cap n^k <= 512 still admits 2^9
     assert main(["charpoly", small, "--k", "9"]) == 0
+    # every adjoint chain has that cap; a 1x1 chain gets the 2x2 length
+    one = write(tmp_path, "one.json", {"ring": GRING, "matrix": {
+        "n": 1, "entries": [["2"]]}})
+    for argv, code in ((["rdet", small, "--k", "9"], 0),
+                       (["rdet", small, "--k", "10"], 3),
+                       (["ldet", one, "--k", "9"], 0),
+                       (["rdet", one, "--k", "1000000"], 3),
+                       (["charpoly", one, "--k", "9"], 0),
+                       (["charpoly", one, "--k", "10"], 3)):
+        assert main(argv) == code, argv
+        capsys.readouterr()
+    # shapes: n^2 4^g is capped before any solve
+    assert main(["example", "5.3", "--n", "100", "--g", "6"]) == 3
+    assert "error" in json.loads(capsys.readouterr().err)
 
 
 def test_pretty_output_is_the_same_json(tmp_path, capsys, monkeypatch):
@@ -299,19 +333,33 @@ TOKENS = ["1", "-1", "0", "2/3", "1/0", "[0, 1]", "[1", "1,2", "2", "x",
 KEYS = ["ring", "matrix", "entries", "n", "coeffs", "g", "type",
         "root_order", "generator_images", "T", "A", "units", "cuts", "",
         "1", "1,2"]
+# Oracle entry text: small expressions in its grammar, and strings of its
+# characters mixed with quotes, dots, underscores and brackets.
+ORACLE_TEXT = st.recursive(
+    st.sampled_from(["a", "b", "c", "0", "1", "2", "9", "1/0", "a_b", "1.5"]),
+    lambda inner: st.builds(lambda x, op, y: f"({x}{op}{y})", inner,
+                            st.sampled_from(["+", "-", "*", "/", "**", "^"]),
+                            inner),
+    max_leaves=4) | st.text(alphabet="ab_0129.'\"[](){}+-*/^ ", max_size=8)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4)
     | st.floats(-4, 4, allow_nan=False) | st.sampled_from(TOKENS)
-    | st.text(max_size=4),
+    | st.text(max_size=4) | ORACLE_TEXT,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner,
                       max_size=3),
     max_leaves=10)
+square_matrices = st.integers(1, 2).flatmap(lambda n: st.builds(
+    lambda rows: {"n": n, "entries": rows},
+    st.lists(st.lists(ORACLE_TEXT, min_size=n, max_size=n),
+             min_size=n, max_size=n)))
 MISSING = object()
 
 
-@pytest.mark.parametrize("command", FILE_COMMANDS,
-                         ids=[" ".join(c[0]) for c in FILE_COMMANDS])
+@pytest.mark.parametrize(
+    "command", FILE_COMMANDS + ORACLE_COMMANDS,
+    ids=[" ".join(c[0]) for c in FILE_COMMANDS]
+    + ["oracle " + " ".join(c[0]) for c in ORACLE_COMMANDS])
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
@@ -325,7 +373,8 @@ def test_fuzzed_documents_exit_cleanly(command, data, monkeypatch):
         doc = data.draw(json_values, label="document")
     else:
         doc = dict(valid)
-        value = data.draw(st.just(MISSING) | json_values, label="value")
+        value = data.draw(st.just(MISSING) | json_values | square_matrices,
+                          label="value")
         if value is MISSING:
             del doc[key]
         else:
@@ -342,3 +391,28 @@ def test_fuzzed_documents_exit_cleanly(command, data, monkeypatch):
     else:
         assert out.getvalue() == ""
         assert "error" in json.loads(err.getvalue())
+
+
+def test_only_oracle_requests_load_sympy(tmp_path):
+    """In a fresh interpreter a Grassmann request leaves sympy unloaded, and
+    an oracle request prints the bytes that the sympify-based decoder
+    printed for the same document."""
+    grassmann = write(tmp_path, "g.json", {"ring": GRING, "matrix": MIXED})
+    oracle = write(tmp_path, "o.json", {
+        "ring": {"type": "oracle", "variables": ["a", "b", "c"]},
+        "matrix": {"n": 2, "entries": [["a^2 - 3*b/2", "2*(a + 1)"],
+                                       ["-b*c + 7", "(a - b)**2/3"]]}})
+    script = (
+        "import sys, lienil, lienil.cli\n"
+        f"assert lienil.cli.main(['sdet', {grassmann!r}]) == 0\n"
+        "assert 'sympy' not in sys.modules\n"
+        f"assert lienil.cli.main(['sdet', {oracle!r}]) == 0\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lienil.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (
+        b'{"sdet":{"coeffs":{"":"4"},"g":2}}\n'
+        b'{"sdet":"2*a**4/3 - 4*a**3*b/3 + 2*a**2*b**2/3 - a**2*b + 2*a*b**2'
+        b' + 4*a*b*c - 28*a - b**3 + 4*b*c - 28"}\n')

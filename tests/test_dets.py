@@ -158,3 +158,17 @@ def test_cost_cap():
     A = Matrix.identity(E, 6)            # the cap is n <= 5
     with pytest.raises(CostCapError):
         sdet(A)
+    # every chain (rdet, ldet, charpoly) is held to degree
+    # max(n, 2)^k <= 512, so a 1x1 chain gets the 2x2 length
+    E = GrassmannAlgebra(2, QQ)
+    for n, k in ((1, 9), (2, 9), (3, 5), (4, 4)):
+        A = Matrix(E, [[E.from_scalar(i + 2 * j + 1) for j in range(n)]
+                       for i in range(n)])
+        assert len(adjoint_sequence(A, k, "left").products) == k
+        for too_long in (k + 1, 10 ** 9):
+            with pytest.raises(CostCapError):
+                rdet(A, too_long)
+    one = Matrix(E, [[E.from_scalar(3)]])
+    assert charpoly(one, 9).degree == 1
+    with pytest.raises(CostCapError):
+        charpoly(one, 10)

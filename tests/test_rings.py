@@ -12,7 +12,8 @@ from lienil import (Endomorphism, GrassmannAlgebra, Matrix, PolynomialRing,
                     epsilon, extend_endomorphism_to_poly, fixed_ring_member,
                     is_lie_nilpotent_index, left_normed_commutator,
                     oracle_ring)
-from lienil.rings import ContextMismatchError, identity_endomorphism
+from lienil.rings import (MAX_ORACLE_BITS, ContextMismatchError, CostCapError,
+                          identity_endomorphism)
 
 
 def test_commutators():
@@ -184,3 +185,41 @@ def test_equal_elements_hash_alike():
     assert len({v1, E.one, Rz.z, O.var("x"), 2}) == 5
     assert hash(v1 + 1) == hash(1 + v1)
     assert hash(Rz.z * v1) == hash(v1 * Rz.z)
+
+
+def test_oracle_parse_matches_sympify():
+    """On text that sympify reads safely, the token parser builds the same
+    expanded polynomial, printed the same way."""
+    import sympy
+    R = oracle_ring(["a", "b", "x", "y"])
+    texts = ["x**2 - 3*y + 1", "3*x/2", "a^2 - 3*b/2", "-(a - 2)*b/5",
+             "(a - b)**2/3", "-a**2", "2**3**2", " + a - -b ", "(1)",
+             "0**0", "(a + 1)*(a - 1) - a^2", "7/(2*3)", "a*b^2*a/4"]
+    for text in texts:
+        expected = sympy.expand(sympy.sympify(text))
+        got = R.parse(text).expr
+        assert got == expected and str(got) == str(expected), text
+    a = R.var("a")
+    assert R.element("2*a") == a * 2 and R.parse("a").ring == R
+
+
+def test_oracle_parse_refusals_and_caps():
+    R = oracle_ring(["a", "b"])
+    for text in ('__import__("os").getpid()', "zz", "1.5", "sin(a)", "1/a",
+                 "a**(1/2)", "a**b", "a - oo", "1/0", "", "a b", "(a",
+                 "a)", "2a", "-" * 5000 + "1", "(" * 5000 + "a", 5, None):
+        with pytest.raises(RingError):
+            R.parse(text)
+    # the caps hold the predicted size: 2^12 terms and 8192 bits admitted
+    assert len(R.parse("*".join(["(a + b)"] * 12)).expr.args) == 13
+    assert R.parse(f"a**{MAX_ORACLE_BITS}").expr.args[1] == MAX_ORACLE_BITS
+    for text in ("*".join(["(a + b)"] * 13), f"a**{MAX_ORACLE_BITS + 1}",
+                 "9**9**9", "(a + b + 1)**90"):
+        with pytest.raises(CostCapError):
+            R.parse(text)
+    # variables are names, and a name keeps its meaning: I is no sqrt(-1)
+    for names in (["x y"], ["lambda"], ["a.b"], [3]):
+        with pytest.raises(RingError):
+            oracle_ring(names)
+    S = oracle_ring(["I", "E"])
+    assert S.parse("I**2 + E").expr.free_symbols == set(S.symbols)

@@ -149,3 +149,19 @@ def test_spec_rejects_non_central_T():
                    [E.try_invert(E.one + v1), E.one]])
     with pytest.raises(SuperMatrixError):
         SuperAlgebraSpec(E, epsilon(E, validate=False), TransitiveMatrix(M))
+
+
+def test_shape_cost_cap(monkeypatch):
+    """shape bounds n^2 4^g before any solve; the benchmark's largest
+    shapes, n=5 at g=4 and n=2 at g=6, are well inside the cap."""
+    import lienil.supermatrix as sm
+    from lienil.rings import CostCapError
+    assert 5 ** 2 * 4 ** 4 <= 2 ** 2 * 4 ** 6 <= sm.MAX_SHAPE_WORK // 64
+    with pytest.raises(CostCapError):
+        shape(example_5_3(100, 1, 6))
+    monkeypatch.setattr(sm, "MAX_SHAPE_WORK", 2 ** 2 * 4 ** 3)
+    assert len(shape(example_5_3(2, 1, 3))) == 2
+    with pytest.raises(CostCapError):
+        shape(example_5_3(3, 1, 3))
+    with pytest.raises(CostCapError):
+        shape(example_5_3(2, 1, 4))
