@@ -386,12 +386,15 @@ def _sympy():
 # Oracle entry text: integers, names, + - * / ** ^ and parentheses.
 _NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)
 _TOKEN = re.compile(rf"\d+|{_NAME.pattern}|\*\*|[-+*/^()]", re.ASCII)
-_ENTRY = re.compile(rf"(?:\s*(?:{_TOKEN.pattern}))*\s*", re.ASCII)
-# Predicted size of a parsed entry: an upper bound on its terms once
-# expanded, and on the bits of its coefficients.  sympy expands
-# (a+b+c+d+1)**15, 3876 terms, in 2.5 s and **18, 7315 terms, in 4.8 s.
+_SPACE = re.compile(r"\s*", re.ASCII)
+# Predicted size of a parsed entry: upper bounds on its terms once
+# expanded, on the bits of its coefficients and on its total degree.
+# sympy expands (a+b+c+d+1)**15, 3876 terms, in 2.5 s and **18, 7315
+# terms, in 4.8 s.  classical_det of a 4x4 matrix with entries of degree
+# 8192 takes 3.6 s; with degree 10^6 it ran over 2 minutes.
 MAX_ORACLE_TERMS = 4096
 MAX_ORACLE_BITS = 8192     # 2466 digits, under CPython's int-to-str limit
+MAX_ORACLE_DEGREE = 8192
 
 
 class OracleRing(Ring):
@@ -418,10 +421,8 @@ class OracleRing(Ring):
         return f"OracleRing({list(self.variables)!r})"
 
     def element(self, expr):
-        """The element for a sympy expression or an int; text goes
-        through ``parse``."""
-        if isinstance(expr, str):
-            return self.parse(expr)
+        """The element for a sympy expression or an int (strict sympify
+        refuses text, which goes through ``parse``)."""
         expr = _sympy().sympify(expr, strict=True)
         return OracleElement(self, expr.expand())
 
@@ -431,11 +432,11 @@ class OracleRing(Ring):
         parentheses and whitespace, with Python's precedence; a divisor must
         be a nonzero constant and an exponent a constant integer >= 0.  The
         sympy expression is built token by token, never evaluated as Python,
-        and an entry over MAX_ORACLE_TERMS or MAX_ORACLE_BITS raises
-        CostCapError."""
+        and an entry over MAX_ORACLE_TERMS, MAX_ORACLE_BITS or
+        MAX_ORACLE_DEGREE raises CostCapError."""
         if not isinstance(text, str):
             raise RingError(f"an oracle entry must be a string, not {text!r}")
-        if not _ENTRY.fullmatch(text):
+        if not _SPACE.fullmatch(_TOKEN.sub(" ", text)):
             raise RingError(f"oracle entry {text!r} holds a character other "
                             "than digits, names, + - * / ^ ( ) and spaces")
         try:
@@ -491,8 +492,10 @@ class _EntryParser:
     expr := term (("+"|"-") term)*, term := factor (("*"|"/") factor)*,
     factor := ("+"|"-") factor | atom [("**"|"^") factor],
     atom := integer | variable | "(" expr ")".  Each rule returns
-    (sympy expression, predicted terms, predicted coefficient bits), and
-    checks the prediction before it builds the expression."""
+    (sympy expression, terms, bits, degree): upper bounds on the terms once
+    expanded, on log2 of the sum of the coefficients' absolute values
+    (so on every coefficient's bits; a variable counts 0) and on the total
+    degree.  The prediction is checked before the expression is built."""
 
     def __init__(self, ring, text):
         self.text = text
@@ -516,48 +519,53 @@ class _EntryParser:
             return tok
         return None
 
-    def check(self, terms, bits):
-        if terms > MAX_ORACLE_TERMS or bits > MAX_ORACLE_BITS:
+    def check(self, terms, bits, degree):
+        if (terms > MAX_ORACLE_TERMS or bits > MAX_ORACLE_BITS
+                or degree > MAX_ORACLE_DEGREE):
             raise CostCapError(
                 f"oracle entry {self.text!r}: predicted size over the caps "
-                f"{MAX_ORACLE_TERMS} terms, {MAX_ORACLE_BITS} bits")
-        return terms, bits
+                f"{MAX_ORACLE_TERMS} terms, {MAX_ORACLE_BITS} bits, degree "
+                f"{MAX_ORACLE_DEGREE}")
+        return terms, bits, degree
 
     def expr(self):
         parts = [self.term()]
         while op := self.take("+", "-"):
-            e, t, b = self.term()
-            parts.append((e if op == "+" else -e, t, b))
-        bits = max(p[2] for p in parts) + (len(parts) - 1).bit_length()
-        t, b = self.check(sum(p[1] for p in parts), bits)
-        return _sympy().Add(*(p[0] for p in parts)), t, b
+            e, *size = self.term()
+            parts.append((-e if op == "-" else e, *size))
+        t, b, d = self.check(
+            sum(p[1] for p in parts),
+            max(p[2] for p in parts) + (len(parts) - 1).bit_length(),
+            max(p[3] for p in parts))
+        return _sympy().Add(*(p[0] for p in parts)), t, b, d
 
     def term(self):
-        e, t, b = self.factor()
+        e, t, b, d = self.factor()
         while op := self.take("*", "/"):
-            f, u, c = self.factor()
+            f, u, c, h = self.factor()
             if op == "/" and not (f.is_Rational and f):
                 self.fail("a divisor must be a nonzero constant")
-            t, b = self.check(t * u if op == "*" else t, b + c)
+            t, b, d = self.check(t * u if op == "*" else t, b + c, d + h)
             e = e * f if op == "*" else e / f
-        return e, t, b
+        return e, t, b, d
 
     def factor(self):
         if self.take("-"):
-            e, t, b = self.factor()
-            return -e, t, b
+            e, *size = self.factor()
+            return -e, *size
         if self.take("+"):
             return self.factor()
-        e, t, b = self.atom()
+        e, t, b, d = self.atom()
         if not self.take("**", "^"):
-            return e, t, b
+            return e, t, b, d
         k = self.factor()[0]
         if not (k.is_Integer and k >= 0):
             self.fail("an exponent must be a constant integer >= 0")
         k = int(k)
-        self.check(1, k * b)                # bounds k before the binomial
-        t, b = self.check(math.comb(t + k - 1, k), k * b)
-        return e ** k, t, b
+        # b = d = 0 only for +-1; any other base has k bounded here
+        self.check(1, k * b, k * d)
+        t, b, d = self.check(math.comb(t + k - 1, k), k * b, k * d)
+        return e ** k, t, b, d
 
     def atom(self):
         tok = self.tokens[self.pos]
@@ -568,11 +576,11 @@ class _EntryParser:
                 self.fail("unbalanced parentheses")
             return value
         if tok in self.names:
-            return self.names[tok], 1, 1
+            return self.names[tok], 1, 0, 1
         if tok.isdigit():
             n = int(tok)
-            t, b = self.check(1, max(n.bit_length(), 1))
-            return _sympy().Integer(n), t, b
+            t, b, d = self.check(1, max(n.bit_length(), 1), 0)
+            return _sympy().Integer(n), t, b, d
         if _NAME.fullmatch(tok):
             self.fail(f"{tok!r} is not a declared variable")
         self.fail(f"unexpected {tok!r}" if tok else "unexpected end")

@@ -282,15 +282,16 @@ def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
         assert "error" in json.loads(capsys.readouterr().err), argv
     # the degree cap n^k <= 512 still admits 2^9
     assert main(["charpoly", small, "--k", "9"]) == 0
-    # every adjoint chain has that cap; a 1x1 chain gets the 2x2 length
+    # every adjoint chain has that cap, and k <= 512 holds a 1x1 chain
     one = write(tmp_path, "one.json", {"ring": GRING, "matrix": {
         "n": 1, "entries": [["2"]]}})
     for argv, code in ((["rdet", small, "--k", "9"], 0),
                        (["rdet", small, "--k", "10"], 3),
-                       (["ldet", one, "--k", "9"], 0),
+                       (["ldet", one, "--k", "512"], 0),
+                       (["ldet", one, "--k", "513"], 3),
                        (["rdet", one, "--k", "1000000"], 3),
-                       (["charpoly", one, "--k", "9"], 0),
-                       (["charpoly", one, "--k", "10"], 3)):
+                       (["charpoly", one, "--k", "512"], 0),
+                       (["charpoly", one, "--k", "513"], 3)):
         assert main(argv) == code, argv
         capsys.readouterr()
     # shapes: n^2 4^g is capped before any solve

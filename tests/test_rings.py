@@ -2,6 +2,7 @@
 
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from lienil import (Endomorphism, GrassmannAlgebra, Matrix, PolynomialRing,
                     epsilon, extend_endomorphism_to_poly, fixed_ring_member,
                     is_lie_nilpotent_index, left_normed_commutator,
                     oracle_ring)
-from lienil.rings import (MAX_ORACLE_BITS, ContextMismatchError, CostCapError,
+from lienil.rings import (MAX_ORACLE_BITS, MAX_ORACLE_DEGREE,
+                          ContextMismatchError, CostCapError,
                           identity_endomorphism)
 
 
@@ -116,7 +118,7 @@ def test_oracle_det_and_adj():
     R = oracle_ring(["a", "b", "c", "d"])
     A = Matrix(R, [[R.var("a"), R.var("b")], [R.var("c"), R.var("d")]])
     det = classical_det(A)
-    assert det == R.element("a*d - b*c")
+    assert det == R.parse("a*d - b*c")
     adj = classical_adj(A)
     assert adj.rows[0][0] == R.var("d")
     assert adj.rows[0][1] == -R.var("b")
@@ -175,7 +177,7 @@ def test_equal_elements_hash_alike():
              (E3.from_scalar(F3.e), F3.e), (E3.one, F3.one),
              (Rz.constant(v1), v1), (Rz.one, E.one), (Rz.one, 1),
              (Rz.zero, 0), (Rz.zero, E.zero),
-             (O.one, 1), (O.zero, 0), (O.element("-2/3"), Fraction(-2, 3)),
+             (O.one, 1), (O.zero, 0), (O.parse("-2/3"), Fraction(-2, 3)),
              (O.var("x") - O.var("x") + 5, 5)]
     for x, value in pairs:
         assert x == value and value == x, (x, value)
@@ -200,7 +202,7 @@ def test_oracle_parse_matches_sympify():
         got = R.parse(text).expr
         assert got == expected and str(got) == str(expected), text
     a = R.var("a")
-    assert R.element("2*a") == a * 2 and R.parse("a").ring == R
+    assert R.parse("2*a") == a * 2 and R.parse("a").ring == R
 
 
 def test_oracle_parse_refusals_and_caps():
@@ -210,11 +212,25 @@ def test_oracle_parse_refusals_and_caps():
                  "a)", "2a", "-" * 5000 + "1", "(" * 5000 + "a", 5, None):
         with pytest.raises(RingError):
             R.parse(text)
-    # the caps hold the predicted size: 2^12 terms and 8192 bits admitted
+    # a stray character after a long run of digits or letters is refused
+    # at once: the character check does not backtrack
+    start = time.perf_counter()
+    for text in ("1" * 60 + ".", "a" * 60 + "!", "a1_" * 2000 + "."):
+        with pytest.raises(RingError):
+            R.parse(text)
+    assert time.perf_counter() - start < 1
+    # the caps hold the predicted size: 2^12 terms, 8192 coefficient bits
+    # (a variable adds none) and degree 8192 admitted
     assert len(R.parse("*".join(["(a + b)"] * 12)).expr.args) == 13
-    assert R.parse(f"a**{MAX_ORACLE_BITS}").expr.args[1] == MAX_ORACLE_BITS
-    for text in ("*".join(["(a + b)"] * 13), f"a**{MAX_ORACLE_BITS + 1}",
-                 "9**9**9", "(a + b + 1)**90"):
+    assert R.parse(f"2**{MAX_ORACLE_BITS // 2}") == 2 ** (MAX_ORACLE_BITS // 2)
+    assert R.parse(f"(2*a)**{MAX_ORACLE_BITS // 2}").expr.args[0] == (
+        2 ** (MAX_ORACLE_BITS // 2))
+    assert R.parse(f"a**{MAX_ORACLE_DEGREE}").expr.args[1] == MAX_ORACLE_DEGREE
+    assert R.parse(f"(a*b)**{MAX_ORACLE_DEGREE // 2}")
+    for text in ("*".join(["(a + b)"] * 13), f"a**{MAX_ORACLE_DEGREE + 1}",
+                 f"(a*b)**{MAX_ORACLE_DEGREE // 2 + 1}",
+                 f"2**{MAX_ORACLE_BITS // 2 + 1}", "9**9**9", "(a + b + 1)**90",
+                 "a**(10**100)", "(a**(2**4000))**(2**4000)"):
         with pytest.raises(CostCapError):
             R.parse(text)
     # variables are names, and a name keeps its meaning: I is no sqrt(-1)

@@ -54,7 +54,7 @@ def test_matrix_round_trip():
 
 def test_oracle_round_trip():
     R = oracle_ring(["x", "y"])
-    x = R.element("x**2 - 3*y + 1")
+    x = R.parse("x**2 - 3*y + 1")
     assert element_from_json(R, element_to_json(x)) == x
 
 
