@@ -1,11 +1,19 @@
 #!/usr/bin/env python3
-"""Micro-benchmark of the scalar and Grassmann layers, and of a cold CLI.
+"""Micro-benchmark of the scalar, Grassmann and oracle layers, and of a
+cold CLI.
 
 Prints microseconds per operation for ``Cyc`` multiplication, addition and
 inverse over Q(zeta_n) at n = 1, 3, 4, 5, and for Grassmann multiplication
 at g = 4 and 8 over Q.  Operands come from fixed seeds, so two checkouts
 time the same inputs.  Each figure is the best of several repeats of a
 loop over a fixed pool of operands.
+
+The oracle section prints the wall seconds of acceptance criterion 3
+(``sdet = n! det`` and ``A* = (n-1)! adj`` on symbolic n = 2, 3, 4) and
+the milliseconds of ``sdet`` and ``preadjoint`` on the symbolic n x n
+matrix [a_ij] at n = 3 and 4.  Each is one call in a fresh interpreter,
+after the imports, so that no cache filled by an earlier call helps; the
+median of three such runs is printed.
 
 The cold-start section prints the median wall milliseconds of a fresh
 interpreter for ``python -c pass``, and for ``python -m lienil.cli sdet``
@@ -42,6 +50,26 @@ ORDERS = (1, 3, 4, 5)
 GENERATORS = (4, 8)
 POOL = 64
 REPEATS = 9
+ORACLE_REPEATS = 3
+# One timed oracle call (argv[1]: criterion_3 or <sdet|preadjoint>_n<n>).
+ORACLE_SNIPPET = """
+import sys, time
+from lienil import Matrix, dets, oracle_ring
+from lienil.acceptance import criterion_3_oracle_equivalence
+what = sys.argv[1]
+if what == "criterion_3":
+    t0 = time.perf_counter()
+    assert criterion_3_oracle_equivalence()[0]
+else:
+    name, n = what.split("_n")
+    n = int(n)
+    ring = oracle_ring([f"a{i}{j}" for i in range(n) for j in range(n)])
+    A = Matrix(ring, [[ring.var(f"a{i}{j}") for j in range(n)]
+                      for i in range(n)])
+    t0 = time.perf_counter()
+    getattr(dets, name)(A)
+print(time.perf_counter() - t0)
+"""
 COLD_REPEATS = 15
 COLD_DOCS = {
     "grassmann_sdet": {
@@ -102,6 +130,25 @@ def grassmann_cases(g):
     return {f"grassmann_mul_g{g}": _best_us(lambda a, b: a * b, pairs, 3)}
 
 
+def oracle_cases():
+    """Median seconds of criterion 3 and milliseconds of the symbolic calls,
+    each timed in a fresh interpreter (see the docstring)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = {}
+    for what in ("criterion_3", "sdet_n3", "preadjoint_n3", "sdet_n4",
+                 "preadjoint_n4"):
+        walls = [float(subprocess.run(
+            [sys.executable, "-c", ORACLE_SNIPPET, what], env=env, check=True,
+            capture_output=True, text=True).stdout)
+            for _ in range(ORACLE_REPEATS)]
+        wall = statistics.median(walls)
+        if what == "criterion_3":
+            out["criterion_3_s"] = wall
+        else:
+            out[f"oracle_{what}_ms"] = wall * 1e3
+    return out
+
+
 def cold_start_cases():
     """Median wall milliseconds of fresh interpreters (see the docstring)."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -137,6 +184,9 @@ def main(argv=None):
         us.update(grassmann_cases(g))
     for name, value in us.items():
         print(f"{name:<24} {value:9.2f} us/op")
+    oracle = oracle_cases()
+    for name, value in oracle.items():
+        print(f"{name:<24} {value:9.3f} {name.rsplit('_', 1)[1]}")
     cold = cold_start_cases()
     for name, value in cold.items():
         print(f"{name:<24} {value:9.1f} ms")
@@ -149,6 +199,7 @@ def main(argv=None):
             "python": platform.python_version()})
         doc[args.label] = {
             "us_per_op": {k: round(v, 3) for k, v in us.items()},
+            "oracle": {k: round(v, 3) for k, v in oracle.items()},
             "cold_start_ms": {k: round(v, 1) for k, v in cold.items()}}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

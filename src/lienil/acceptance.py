@@ -8,6 +8,7 @@ runs.  Timings are collected separately.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 
@@ -110,9 +111,7 @@ def criterion_3_oracle_equivalence():
         R = oracle_ring(names)
         A = Matrix(R, [[R.var(f"a{i}{j}") for j in range(1, n + 1)]
                        for i in range(1, n + 1)])
-        nfact = 1
-        for i in range(2, n + 1):
-            nfact *= i
+        nfact = math.factorial(n)
         if dets.sdet(A) != classical_det(A) * nfact:
             return False, {"failure": f"sdet vs det at n={n}"}
         if dets.preadjoint(A) != classical_adj(A).scalar_mul(nfact // n):
@@ -317,10 +316,8 @@ def run_core(slow=False):
     timings = {}
     for num, name, fn in CORE_CRITERIA:
         t0 = time.perf_counter()
-        if fn is criterion_7_cayley_hamilton:
-            passed, details = fn(slow=slow)
-        else:
-            passed, details = fn()
+        passed, details = (fn(slow=slow) if fn is criterion_7_cayley_hamilton
+                           else fn())
         timings[str(num)] = time.perf_counter() - t0
         results.append({"criterion": num, "name": name,
                         "passed": bool(passed), "details": details})

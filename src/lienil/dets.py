@@ -8,6 +8,7 @@ adds its terms left to right in the order the permutations are enumerated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -117,14 +118,8 @@ def preadjoint_via_minors(A):
     ring = A.ring
     if n == 1:
         return Matrix(ring, [[ring.one]])
-    rows = []
-    for r in range(1, n + 1):
-        row = []
-        for s in range(1, n + 1):
-            v = sdet(A.minor(s, r))
-            row.append(v if (r + s) % 2 == 0 else -v)
-        rows.append(row)
-    return Matrix(ring, rows)
+    return Matrix(ring, [[sdet(A.minor(s, r)) * (-1) ** (r + s)
+                          for s in range(1, n + 1)] for r in range(1, n + 1)])
 
 
 @dataclass
@@ -165,10 +160,7 @@ def ldet(A, k):
 
 def leading_coefficient_value(n, k):
     """n * ((n-1)!)^(1 + n + ... + n^(k-1)) as an integer."""
-    fact = 1
-    for i in range(2, n):
-        fact *= i
-    return n * fact ** sum(n ** i for i in range(k))
+    return n * math.factorial(n - 1) ** sum(n ** i for i in range(k))
 
 
 @dataclass

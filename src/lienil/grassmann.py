@@ -311,16 +311,14 @@ def sigma(algebra, validate=True):
     if algebra.g < 1:
         raise RingError("sigma needs at least one generator")
     v1 = algebra.generator(1)
-    left = algebra.one + v1
-    right = algebra.one - v1
+    left, right = algebra.one + v1, algebra.one - v1
     return Endomorphism("sigma", algebra,
                         lambda x: left * x * right, validate=validate)
 
 
 def sigma_inverse(algebra, validate=True):
     v1 = algebra.generator(1)
-    left = algebra.one - v1
-    right = algebra.one + v1
+    left, right = algebra.one - v1, algebra.one + v1
     return Endomorphism("sigma_inv", algebra,
                         lambda x: left * x * right, validate=validate)
 

@@ -71,9 +71,7 @@ class Matrix:
                                   for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        self._check_shape(other)
-        return Matrix(self.ring, [[a - b for a, b in zip(ra, rb)]
-                                  for ra, rb in zip(self.rows, other.rows)])
+        return self + (-other)
 
     def __neg__(self):
         return Matrix(self.ring, [[-a for a in r] for r in self.rows])
@@ -118,10 +116,7 @@ class Matrix:
     def trace(self):
         if not self.is_square:
             raise MatrixError("trace needs a square matrix")
-        acc = self.ring.zero
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
+        return sum((row[i] for i, row in enumerate(self.rows)), self.ring.zero)
 
     def minor(self, i, j):
         """Delete row i and column j (1-based)."""
@@ -135,10 +130,7 @@ class Matrix:
 
 
 def _dot(row, col, ring):
-    acc = ring.zero
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
+    return sum((a * b for a, b in zip(row, col)), ring.zero)
 
 
 def hadamard(A, B):

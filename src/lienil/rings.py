@@ -5,16 +5,16 @@ polynomial ring) subclasses Ring.  Elements carry a ``.ring`` attribute and
 overload +, -, *; elements of different rings never mix.  The element
 classes subclass RingElement, which lifts scalars and derives subtraction
 and the reflected operators from each class's own +, unary - and *.  A
-commutative multivariate polynomial ring over Q serves as an oracle for
-cross-validating the noncommutative determinant code.  It is backed by
-sympy, which is imported only when an oracle ring is built: no other ring
-loads it.
+commutative multivariate polynomial ring over Q, sparse polynomials with
+Fraction coefficients, serves as an oracle for cross-validating the
+noncommutative determinant code.
 """
 
 from __future__ import annotations
 
 import keyword
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -88,35 +88,14 @@ class RingElement:
 
 
 class Ring:
-    """Base contract: unital ring over a scalar field, with exact equality."""
+    """Base contract: unital ring over a scalar field, with exact equality.
+    A subclass defines the properties ``zero`` and ``one`` and the methods
+    ``from_scalar(c)`` (embed a field scalar, int or Fraction),
+    ``is_central(x)``, ``try_invert(x)`` (the inverse, or None if x is not
+    a unit or it is undecided), ``generating_set()`` (the elements that
+    validate an endomorphism) and ``random_element(rng)``."""
 
     field = QQ
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
-
-    def from_scalar(self, c):
-        """Embed a field scalar (or int / Fraction) as a ring element."""
-        raise NotImplementedError
-
-    def is_central(self, x):
-        raise NotImplementedError
-
-    def try_invert(self, x):
-        """Return the inverse of x, or None if x is not a unit (or undecided)."""
-        raise NotImplementedError
-
-    def generating_set(self):
-        """Elements used to validate endomorphisms at construction."""
-        raise NotImplementedError
-
-    def random_element(self, rng):
-        raise NotImplementedError
 
     def coerce_scalar(self, c):
         if isinstance(c, Cyc):
@@ -374,32 +353,26 @@ def extend_endomorphism_to_poly(delta):
 
 
 # --------------------------------------------------------------------------
-# Commutative multivariate polynomial oracle (sympy-backed)
+# Commutative multivariate polynomial oracle: sparse polynomials over Q
 # --------------------------------------------------------------------------
-
-def _sympy():
-    """sympy, imported on first use: only the oracle ring needs it."""
-    import sympy
-    return sympy
-
 
 # Oracle entry text: integers, names, + - * / ** ^ and parentheses.
 _NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)
 _TOKEN = re.compile(rf"\d+|{_NAME.pattern}|\*\*|[-+*/^()]", re.ASCII)
 _SPACE = re.compile(r"\s*", re.ASCII)
-# Predicted size of a parsed entry: upper bounds on its terms once
-# expanded, on the bits of its coefficients and on its total degree.
-# sympy expands (a+b+c+d+1)**15, 3876 terms, in 2.5 s and **18, 7315
-# terms, in 4.8 s.  classical_det of a 4x4 matrix with entries of degree
-# 8192 takes 3.6 s; with degree 10^6 it ran over 2 minutes.
+# Caps on the predicted size of a parsed entry: its terms once expanded,
+# the bits of its coefficients (see ``_size``) and its total degree; the
+# README gives the timings behind them.
 MAX_ORACLE_TERMS = 4096
 MAX_ORACLE_BITS = 8192     # 2466 digits, under CPython's int-to-str limit
 MAX_ORACLE_DEGREE = 8192
 
 
 class OracleRing(Ring):
-    """Exact commutative polynomial ring over Q with classical det/adj
-    available; used to cross-validate the noncommutative determinants."""
+    """Q[x_1, ..., x_m], exact and commutative, with classical det/adj;
+    used to cross-validate the noncommutative determinants.  An element
+    keeps one exponent slot per variable, the slots in name order
+    (``names``), which is the order its terms print in."""
 
     def __init__(self, variables):
         self.variables = tuple(variables)
@@ -407,9 +380,9 @@ class OracleRing(Ring):
             if (not isinstance(v, str) or not _NAME.fullmatch(v)
                     or keyword.iskeyword(v)):
                 raise RingError(f"oracle variable {v!r} is not a name")
-        sympy = _sympy()
-        self.symbols = tuple(sympy.Symbol(v) for v in self.variables)
-        self.field = QQ
+        if len(set(self.variables)) < len(self.variables):
+            raise RingError(f"oracle variables {self.variables} repeat a name")
+        self.names = tuple(sorted(self.variables))
 
     def __eq__(self, other):
         return isinstance(other, OracleRing) and other.variables == self.variables
@@ -420,86 +393,108 @@ class OracleRing(Ring):
     def __repr__(self):
         return f"OracleRing({list(self.variables)!r})"
 
-    def element(self, expr):
-        """The element for a sympy expression or an int (strict sympify
-        refuses text, which goes through ``parse``)."""
-        expr = _sympy().sympify(expr, strict=True)
-        return OracleElement(self, expr.expand())
+    def element(self, terms):
+        """The polynomial sum c x^m over ``terms`` {m: c}, with m an exponent
+        tuple in ``names`` order and c a Fraction (zeros are dropped)."""
+        return OracleElement(self, {m: c for m, c in terms.items() if c})
 
     def parse(self, text):
         """The polynomial that ``text`` writes, or RingError.  The text holds
         integers, declared variables, + - * / ** and ^ (read as **),
-        parentheses and whitespace, with Python's precedence; a divisor must
-        be a nonzero constant and an exponent a constant integer >= 0.  The
-        sympy expression is built token by token, never evaluated as Python,
-        and an entry over MAX_ORACLE_TERMS, MAX_ORACLE_BITS or
-        MAX_ORACLE_DEGREE raises CostCapError."""
+        parentheses and spaces, with Python's precedence; a divisor must be a
+        nonzero constant and an exponent a constant integer >= 0.  It is
+        parsed, never evaluated; an entry over the caps raises CostCapError."""
         if not isinstance(text, str):
             raise RingError(f"an oracle entry must be a string, not {text!r}")
         if not _SPACE.fullmatch(_TOKEN.sub(" ", text)):
             raise RingError(f"oracle entry {text!r} holds a character other "
                             "than digits, names, + - * / ^ ( ) and spaces")
         try:
-            expr = _EntryParser(self, text).parse()
+            return _EntryParser(self, text).parse()
         except (RecursionError, ValueError) as exc:   # deep nesting, long ints
             raise RingError(f"oracle entry {text!r}: {exc}") from None
-        return OracleElement(self, expr.expand())
 
     def var(self, name):
         if name not in self.variables:
             raise RingError(f"unknown oracle variable {name!r}")
-        return self.element(_sympy().Symbol(name))
+        return self.element({tuple(int(v == name) for v in self.names):
+                             Fraction(1)})
 
     @property
     def zero(self):
-        return self.element(0)
+        return OracleElement(self, {})
 
     @property
     def one(self):
-        return self.element(1)
+        return self.from_scalar(1)
 
     def from_scalar(self, c):
-        c = self.coerce_scalar(c)
-        q = c.to_fraction()
-        return self.element(_sympy().Rational(q.numerator, q.denominator))
+        q = self.coerce_scalar(c).to_fraction()
+        return self.element({(0,) * len(self.names): q})
 
     def is_central(self, x):
         return True
 
     def try_invert(self, x):
-        if x.expr.is_Rational and x.expr != 0:
-            return self.element(1 / x.expr)
-        return None
+        q = x._scalar()
+        return self.from_scalar(1 / q) if q else None
 
     def generating_set(self):
-        return [self.element(s) for s in self.symbols]
+        return [self.var(v) for v in self.variables]
 
     def random_element(self, rng):
-        sympy = _sympy()
-        terms = rng.randrange(1, 4)
-        expr = sympy.Integer(0)
-        for _ in range(terms):
-            coef = sympy.Integer(rng.randrange(-3, 4))
-            mono = sympy.Integer(1)
-            for s in self.symbols:
-                mono *= s ** rng.randrange(0, 2)
-            expr += coef * mono
-        return self.element(expr)
+        """One to three terms, exponents 0 or 1, coefficients in -3..3."""
+        return self.element({tuple(rng.randrange(0, 2) for _ in self.names):
+                             Fraction(rng.randrange(-3, 4))
+                             for _ in range(rng.randrange(1, 4))})
+
+
+def _integral(x):
+    """(pairs, L): the terms of x as (exponents, integer) over L = lcm."""
+    den = math.lcm(*(c.denominator for c in x.terms.values()))
+    return [(m, c.numerator * (den // c.denominator))
+            for m, c in x.terms.items()], den
+
+
+def _size(x):
+    """(terms, bits, degree) of a polynomial x.  With ``_integral`` pairs
+    (m, h) over L, bits is bitlen(sum |h|) + bitlen(L) - 1: it bounds every
+    numerator and denominator, and is about additive under products."""
+    pairs, den = _integral(x)
+    height = sum(abs(h) for _, h in pairs)
+    return (len(pairs), height.bit_length() + den.bit_length() - 1,
+            max(map(sum, x.terms), default=0))
+
+
+def _power(x, k):
+    """x**k by the multinomial theorem: one pass over the splits of k among
+    the terms of x, as many as the product has terms before collecting."""
+    pairs, den = _integral(x)
+    splits = [(k, 1, (0,) * len(x.ring.names))]  # (k left, coeff, exponents)
+    for i, (m, h) in enumerate(pairs):
+        splits = [(left - e, c * math.comb(left, e) * h ** e,
+                   tuple(a + e * b for a, b in zip(mono, m)))
+                  for left, c, mono in splits
+                  for e in (range(left + 1) if i + 1 < len(pairs) else [left])]
+    out = {}
+    for left, c, mono in splits:
+        if not left:                     # x = 0 leaves k > 0 unsplit
+            out[mono] = out.get(mono, 0) + c
+    return x.ring.element({m: Fraction(c, den ** k) for m, c in out.items()})
 
 
 class _EntryParser:
     """Recursive descent over the tokens of one oracle entry:
     expr := term (("+"|"-") term)*, term := factor (("*"|"/") factor)*,
     factor := ("+"|"-") factor | atom [("**"|"^") factor],
-    atom := integer | variable | "(" expr ")".  Each rule returns
-    (sympy expression, terms, bits, degree): upper bounds on the terms once
-    expanded, on log2 of the sum of the coefficients' absolute values
-    (so on every coefficient's bits; a variable counts 0) and on the total
-    degree.  The prediction is checked before the expression is built."""
+    atom := integer | variable | "(" expr ")".  Each rule returns an
+    OracleElement.  Before a product or a power is built, its size is
+    predicted from the operands' ``_size`` and checked: along a run of
+    products the terms multiply and the bits and degrees add."""
 
     def __init__(self, ring, text):
+        self.ring = ring
         self.text = text
-        self.names = dict(zip(ring.variables, ring.symbols))
         self.tokens = _TOKEN.findall(text) + [""]     # "" ends the text
         self.pos = 0
 
@@ -507,7 +502,8 @@ class _EntryParser:
         value = self.expr()
         if self.tokens[self.pos]:
             self.fail(f"unexpected {self.tokens[self.pos]!r}")
-        return value[0]
+        self.check(*_size(value))
+        return value
 
     def fail(self, why):
         raise RingError(f"oracle entry {self.text!r}: {why}")
@@ -529,43 +525,40 @@ class _EntryParser:
         return terms, bits, degree
 
     def expr(self):
-        parts = [self.term()]
+        acc = self.term()
         while op := self.take("+", "-"):
-            e, *size = self.term()
-            parts.append((-e if op == "-" else e, *size))
-        t, b, d = self.check(
-            sum(p[1] for p in parts),
-            max(p[2] for p in parts) + (len(parts) - 1).bit_length(),
-            max(p[3] for p in parts))
-        return _sympy().Add(*(p[0] for p in parts)), t, b, d
+            acc = acc - self.term() if op == "-" else acc + self.term()
+        return acc
 
     def term(self):
-        e, t, b, d = self.factor()
+        acc = self.factor()
+        t, b, d = _size(acc)
         while op := self.take("*", "/"):
-            f, u, c, h = self.factor()
-            if op == "/" and not (f.is_Rational and f):
+            x = self.factor()
+            u, c, h = _size(x)
+            if op == "/" and not (q := x._scalar()):
                 self.fail("a divisor must be a nonzero constant")
             t, b, d = self.check(t * u if op == "*" else t, b + c, d + h)
-            e = e * f if op == "*" else e / f
-        return e, t, b, d
+            acc = acc * x if op == "*" else acc * (1 / q)
+        return acc
 
     def factor(self):
         if self.take("-"):
-            e, *size = self.factor()
-            return -e, *size
+            return -self.factor()
         if self.take("+"):
             return self.factor()
-        e, t, b, d = self.atom()
+        base = self.atom()
         if not self.take("**", "^"):
-            return e, t, b, d
-        k = self.factor()[0]
-        if not (k.is_Integer and k >= 0):
+            return base
+        k = self.factor()._scalar()
+        if k is None or k.denominator != 1 or k < 0:
             self.fail("an exponent must be a constant integer >= 0")
+        t, b, d = _size(base)
         k = int(k)
-        # b = d = 0 only for +-1; any other base has k bounded here
+        # b >= 1 unless base = 0, so k is bounded before comb
         self.check(1, k * b, k * d)
-        t, b, d = self.check(math.comb(t + k - 1, k), k * b, k * d)
-        return e ** k, t, b, d
+        self.check(math.comb(max(t + k - 1, 0), k), k * b, k * d)
+        return _power(base, k)
 
     def atom(self):
         tok = self.tokens[self.pos]
@@ -575,78 +568,112 @@ class _EntryParser:
             if not self.take(")"):
                 self.fail("unbalanced parentheses")
             return value
-        if tok in self.names:
-            return self.names[tok], 1, 0, 1
+        if tok in self.ring.variables:
+            return self.ring.var(tok)
         if tok.isdigit():
             n = int(tok)
-            t, b, d = self.check(1, max(n.bit_length(), 1), 0)
-            return _sympy().Integer(n), t, b, d
+            self.check(1, n.bit_length(), 0)
+            return self.ring.from_scalar(n)
         if _NAME.fullmatch(tok):
             self.fail(f"{tok!r} is not a declared variable")
         self.fail(f"unexpected {tok!r}" if tok else "unexpected end")
 
 
 class OracleElement(RingElement):
-    __slots__ = ("ring", "expr")
+    """A polynomial over Q: ``terms`` maps exponent tuples (one slot per
+    variable, in the ring's ``names`` order) to nonzero Fractions."""
 
-    def __init__(self, ring, expr):
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms):
         self.ring = ring
-        self.expr = expr
+        self.terms = terms
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OracleElement(self.ring, (self.expr + o.expr).expand())
+        out = dict(self.terms)
+        for m, c in o.terms.items():
+            out[m] = out.get(m, 0) + c
+        return self.ring.element(out)
 
     def __neg__(self):
-        return OracleElement(self.ring, -self.expr)
+        return OracleElement(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OracleElement(self.ring, (self.expr * o.expr).expand())
+        # int products over one denominator: 7x faster than Fractions
+        (p, dp), (q, dq) = _integral(self), _integral(o)
+        out = {}
+        for m, c in p:
+            for n, d in q:
+                k = tuple(map(operator.add, m, n))
+                out[k] = out.get(k, 0) + c * d
+        return self.ring.element({m: Fraction(c, dp * dq)
+                                  for m, c in out.items()})
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self.expr - o.expr).expand() == 0
+        return self.terms == o.terms
 
     __hash__ = RingElement.__hash__
 
     def _scalar(self):
-        e = self.expr
-        return Fraction(int(e.p), int(e.q)) if e.is_Rational else None
+        zero = (0,) * len(self.ring.names)
+        constant = self.terms.get(zero, Fraction(0))
+        return None if self.terms.keys() - {zero} else constant
 
     def _key(self):
-        return self.expr
+        return frozenset(self.terms.items())
 
     def __bool__(self):
-        return self.expr != 0
+        return bool(self.terms)
+
+    def __str__(self):
+        """The expanded form, terms in descending lex order of their
+        exponents (``4*a**2*b - 2*c + 1``); a positive constant and a
+        negative term of one variable print as ``1 - x``."""
+        terms = sorted(self.terms.items(), reverse=True)
+        if (len(terms) == 2 and terms[0][1] < 0 < terms[1][1]
+                and not any(terms[1][0]) and sum(map(bool, terms[0][0])) == 1):
+            terms.reverse()
+        out = ""
+        for m, c in terms:
+            factors = [v if e == 1 else f"{v}**{e}"
+                       for v, e in zip(self.ring.names, m) if e]
+            p, q = abs(c.numerator), c.denominator
+            out += (" - " if c < 0 else " + ") + "*".join(
+                ([str(p)] if p != 1 or not factors else []) + factors)
+            out += f"/{q}" if q != 1 else ""
+        return (out[3:] if out[1] == "+" else "-" + out[3:]) if out else "0"
 
     def __repr__(self):
-        return f"OracleElement({self.expr})"
+        return f"OracleElement({self})"
 
 
-def oracle_ring(variables):
-    return OracleRing(variables)
-
-
-def _sympy_matrix(A):
-    return _sympy().Matrix([[e.expr for e in row] for row in A.rows])
+oracle_ring = OracleRing
 
 
 def classical_det(A):
-    """Ordinary determinant of a matrix over an OracleRing."""
-    return A.ring.element(_sympy_matrix(A).det())
+    """Ordinary determinant of a square matrix over an OracleRing, by
+    Laplace expansion along the first row."""
+    if A.nrows == 1:
+        return A.rows[0][0]
+    return sum((a * classical_det(A.minor(1, j)) * (-1) ** (j + 1)
+                for j, a in enumerate(A.rows[0], start=1) if a), A.ring.zero)
 
 
 def classical_adj(A):
-    """Ordinary adjugate of a matrix over an OracleRing."""
+    """Ordinary adjugate of a square matrix over an OracleRing: entry (i, j)
+    is (-1)^(i+j) times the determinant of A without row j and column i."""
     from .matrices import Matrix
-    ring = A.ring
-    adj = _sympy_matrix(A).adjugate()
-    return Matrix(ring, [[ring.element(adj[i, j]) for j in range(A.ncols)]
-                         for i in range(A.nrows)])
+    n = A.nrows
+    if n == 1:
+        return Matrix.identity(A.ring, 1)
+    return Matrix(A.ring, [[classical_det(A.minor(j, i)) * (-1) ** (i + j)
+                            for j in range(1, n + 1)] for i in range(1, n + 1)])

@@ -13,8 +13,8 @@ from __future__ import annotations
 from .grassmann import (GrassmannAlgebra, GrassmannElement, epsilon,
                         endomorphism_from_generator_images, rho, sigma)
 from .matrices import Matrix, TransitiveMatrix
-from .rings import OracleRing, RingError, RPolynomial
-from .scalars import CyclotomicField, parse_scalar
+from .rings import OracleElement, OracleRing, RingError, RPolynomial
+from .scalars import Cyc, CyclotomicField, parse_scalar
 from .supermatrix import SuperAlgebraSpec
 
 
@@ -68,9 +68,7 @@ def grassmann_from_json(algebra, doc):
 def element_to_json(x):
     if isinstance(x, GrassmannElement):
         return grassmann_to_json(x)
-    if hasattr(x, "expr"):                       # oracle element
-        return str(x.expr)
-    if hasattr(x, "is_rational"):                # bare scalar
+    if isinstance(x, (OracleElement, Cyc)):      # text: a polynomial, a scalar
         return str(x)
     if isinstance(x, RPolynomial):
         return rpoly_to_json(x)
@@ -142,12 +140,7 @@ def ring_from_json(doc):
             _int(doc["g"], "g"),
             CyclotomicField(_int(doc.get("root_order", 1), "root_order")))
     if kind == "oracle":
-        names = doc["variables"]
-        if not (isinstance(names, list)
-                and all(isinstance(v, str) for v in names)):
-            raise SerializationError(
-                "oracle variables must be a list of strings")
-        return OracleRing(names)
+        return OracleRing(field(doc, "variables", list))
     raise SerializationError(f"unknown ring type {kind!r}")
 
 

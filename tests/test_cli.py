@@ -185,13 +185,13 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
     ] + [{"ring": {"type": "oracle", "variables": ["a"]},
           "matrix": {"n": 1, "entries": [[text]]}}
          for text in ("1/0", "0/0", "a - oo", "a/0",
-                      # refused before any text reaches sympy
+                      # refused by the token check or the parser
                       '__import__("os").getpid()', "zz", "1.5", "sin(a)",
                       # not a polynomial, or not finite
                       "1/a", "a**(1/2)", "a**-1", "(a - a)**0/0", 5)] + [
         {"ring": {"type": "oracle", "variables": names},
          "matrix": {"n": 1, "entries": [["1"]]}}
-        for names in (["x y"], ["lambda"], ["a.b"], [3])] + [
+        for names in (["x y"], ["lambda"], ["a.b"], [3], ["a", "a"])] + [
         {"ring": 5, "matrix": {"n": 1, "entries": [["1"]]}},
         {"ring": {"type": "grassmann", "g": "x"},
          "matrix": {"n": 1, "entries": [["1"]]}},
@@ -394,26 +394,34 @@ def test_fuzzed_documents_exit_cleanly(command, data, monkeypatch):
         assert "error" in json.loads(err.getvalue())
 
 
-def test_only_oracle_requests_load_sympy(tmp_path):
-    """In a fresh interpreter a Grassmann request leaves sympy unloaded, and
-    an oracle request prints the bytes that the sympify-based decoder
-    printed for the same document."""
+def test_no_request_loads_sympy(tmp_path):
+    """In a fresh interpreter neither a Grassmann nor an oracle request, nor
+    the acceptance suite's import, loads sympy, and the oracle requests
+    print the bytes that the sympy-backed oracle printed for the same
+    document."""
     grassmann = write(tmp_path, "g.json", {"ring": GRING, "matrix": MIXED})
     oracle = write(tmp_path, "o.json", {
         "ring": {"type": "oracle", "variables": ["a", "b", "c"]},
         "matrix": {"n": 2, "entries": [["a^2 - 3*b/2", "2*(a + 1)"],
                                        ["-b*c + 7", "(a - b)**2/3"]]}})
     script = (
-        "import sys, lienil, lienil.cli\n"
+        "import sys, lienil, lienil.cli, lienil.acceptance\n"
         f"assert lienil.cli.main(['sdet', {grassmann!r}]) == 0\n"
-        "assert 'sympy' not in sys.modules\n"
-        f"assert lienil.cli.main(['sdet', {oracle!r}]) == 0\n")
+        f"assert lienil.cli.main(['sdet', {oracle!r}]) == 0\n"
+        f"assert lienil.cli.main(['preadjoint', {oracle!r}]) == 0\n"
+        f"assert lienil.cli.main(['charpoly', {oracle!r}]) == 0\n"
+        "assert 'sympy' not in sys.modules\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(lienil.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+    sdet = (b'2*a**4/3 - 4*a**3*b/3 + 2*a**2*b**2/3 - a**2*b + 2*a*b**2'
+            b' + 4*a*b*c - 28*a - b**3 + 4*b*c - 28')
     assert proc.stdout == (
         b'{"sdet":{"coeffs":{"":"4"},"g":2}}\n'
-        b'{"sdet":"2*a**4/3 - 4*a**3*b/3 + 2*a**2*b**2/3 - a**2*b + 2*a*b**2'
-        b' + 4*a*b*c - 28*a - b**3 + 4*b*c - 28"}\n')
+        b'{"sdet":"' + sdet + b'"}\n'
+        b'{"matrix":{"entries":[["a**2/3 - 2*a*b/3 + b**2/3","-2*a - 2"],'
+        b'["b*c - 7","a**2 - 3*b/2"]],"n":2}}\n'
+        b'{"coeffs":["' + sdet + b'","-8*a**2/3 + 4*a*b/3 - 2*b**2/3 + 3*b",'
+        b'"2"],"k":1,"side":"right"}\n')

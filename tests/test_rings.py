@@ -190,17 +190,16 @@ def test_equal_elements_hash_alike():
 
 
 def test_oracle_parse_matches_sympify():
-    """On text that sympify reads safely, the token parser builds the same
-    expanded polynomial, printed the same way."""
+    """On text that sympify reads safely, the token parser builds the
+    polynomial that sympy expands it to, printed the same way."""
     import sympy
     R = oracle_ring(["a", "b", "x", "y"])
     texts = ["x**2 - 3*y + 1", "3*x/2", "a^2 - 3*b/2", "-(a - 2)*b/5",
              "(a - b)**2/3", "-a**2", "2**3**2", " + a - -b ", "(1)",
              "0**0", "(a + 1)*(a - 1) - a^2", "7/(2*3)", "a*b^2*a/4"]
     for text in texts:
-        expected = sympy.expand(sympy.sympify(text))
-        got = R.parse(text).expr
-        assert got == expected and str(got) == str(expected), text
+        expected = str(sympy.expand(sympy.sympify(text)))
+        assert str(R.parse(text)) == expected, text
     a = R.var("a")
     assert R.parse("2*a") == a * 2 and R.parse("a").ring == R
 
@@ -221,11 +220,12 @@ def test_oracle_parse_refusals_and_caps():
     assert time.perf_counter() - start < 1
     # the caps hold the predicted size: 2^12 terms, 8192 coefficient bits
     # (a variable adds none) and degree 8192 admitted
-    assert len(R.parse("*".join(["(a + b)"] * 12)).expr.args) == 13
+    assert len(R.parse("*".join(["(a + b)"] * 12)).terms) == 13
     assert R.parse(f"2**{MAX_ORACLE_BITS // 2}") == 2 ** (MAX_ORACLE_BITS // 2)
-    assert R.parse(f"(2*a)**{MAX_ORACLE_BITS // 2}").expr.args[0] == (
-        2 ** (MAX_ORACLE_BITS // 2))
-    assert R.parse(f"a**{MAX_ORACLE_DEGREE}").expr.args[1] == MAX_ORACLE_DEGREE
+    assert R.parse(f"(2*a)**{MAX_ORACLE_BITS // 2}").terms == {
+        (MAX_ORACLE_BITS // 2, 0): 2 ** (MAX_ORACLE_BITS // 2)}
+    assert R.parse(f"a**{MAX_ORACLE_DEGREE}").terms == {
+        (MAX_ORACLE_DEGREE, 0): 1}
     assert R.parse(f"(a*b)**{MAX_ORACLE_DEGREE // 2}")
     for text in ("*".join(["(a + b)"] * 13), f"a**{MAX_ORACLE_DEGREE + 1}",
                  f"(a*b)**{MAX_ORACLE_DEGREE // 2 + 1}",
@@ -234,8 +234,62 @@ def test_oracle_parse_refusals_and_caps():
         with pytest.raises(CostCapError):
             R.parse(text)
     # variables are names, and a name keeps its meaning: I is no sqrt(-1)
-    for names in (["x y"], ["lambda"], ["a.b"], [3]):
+    for names in (["x y"], ["lambda"], ["a.b"], [3], ["a", "b", "a"]):
         with pytest.raises(RingError):
             oracle_ring(names)
     S = oracle_ring(["I", "E"])
-    assert S.parse("I**2 + E").expr.free_symbols == set(S.symbols)
+    x = S.parse("I**2 + E")
+    assert x == S.var("I") * S.var("I") + S.var("E")
+    assert {v for m in x.terms for v, e in zip(S.names, m) if e} == {"I", "E"}
+
+
+# Names whose order as strings differs from their order as numbers (a10 <
+# a2), and names that sympy reads as constants when it parses text.
+ORACLE_NAMES = ["a2", "a10", "I", "E", "x"]
+_coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+_exponents = st.tuples(*[st.integers(0, 3)] * len(ORACLE_NAMES))
+# A positive constant and a negative term of one variable, which sympy
+# prints constant first (1 - x), against other two-term polynomials.
+_two_terms = st.builds(
+    lambda c, d, i, e, extra: {(0,) * len(ORACLE_NAMES): c,
+                               tuple(e if j in (i, extra) else 0
+                                     for j in range(len(ORACLE_NAMES))): d},
+    _coefficients, _coefficients, st.integers(0, len(ORACLE_NAMES) - 1),
+    st.integers(1, 3), st.sampled_from([None, 0, 4]))
+oracle_terms = st.dictionaries(_exponents, _coefficients, max_size=6) | _two_terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_terms, oracle_terms, st.integers(0, 4))
+def test_oracle_arithmetic_matches_sympy(p, q, k):
+    """+ - * ** == hash and str of the native polynomials agree with sympy's
+    expand and str on the same polynomials."""
+    import sympy
+    R = oracle_ring(ORACLE_NAMES)
+    symbols = [sympy.Symbol(v) for v in R.names]
+
+    def to_sympy(terms):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s ** e for s, e in zip(symbols, m)))
+            for m, c in terms.items()))
+
+    x, y = R.element(p), R.element(q)
+    X, Y = to_sympy(p), to_sympy(q)
+    for got, expected in ((x, X), (y, Y), (-x, -X), (x + y, X + Y),
+                          (x - y, X - Y), (x * y, X * Y), (x * 3, X * 3)):
+        expected = sympy.expand(expected)
+        assert str(got) == str(expected), (p, q)
+        assert R.parse(str(got)) == got
+    assert str(R.parse(f"({x})**{k}")) == str(sympy.expand(X ** k))
+    assert (x == y) == (sympy.expand(X - Y) == 0)
+    if x == y:
+        assert hash(x) == hash(y)
+    for a, b in (((x + y) - y, x), (x * y, y * x),
+                 (R.element(dict(reversed(list(p.items())))), x)):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # a constant equals its Fraction and hashes like it
+    d = sympy.expand(X - Y)
+    if d.is_Rational:
+        d = Fraction(int(d.p), int(d.q))
+        assert x - y == d and hash(x - y) == hash(d)
