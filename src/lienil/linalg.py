@@ -56,17 +56,11 @@ def kernel_basis(rows, ncols, field):
 
 def in_span(basis, vec, ncols):
     """True iff ``vec`` lies in the row span of ``basis``."""
-    if not any(vec):
-        return True
-    if not basis:
-        return False
-    return rank(list(basis), ncols) == rank(list(basis) + [list(vec)], ncols)
+    basis = list(basis)
+    return rank(basis, ncols) == rank(basis + [list(vec)], ncols)
 
 
 def same_span(basis_a, basis_b, ncols):
-    ra = rank(list(basis_a), ncols) if basis_a else 0
-    rb = rank(list(basis_b), ncols) if basis_b else 0
-    if ra != rb:
-        return False
-    joint = rank(list(basis_a) + list(basis_b), ncols) if (basis_a or basis_b) else 0
-    return joint == ra
+    basis_a, basis_b = list(basis_a), list(basis_b)
+    ra = rank(basis_a, ncols)
+    return ra == rank(basis_b, ncols) == rank(basis_a + basis_b, ncols)

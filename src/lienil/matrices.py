@@ -6,6 +6,8 @@ O(n^2) products through the first row and column; see ``_failing_triple``."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .rings import (SCALARS, ContextMismatchError, CostCapError, Ring,
                     RingError, check_same_ring)
 from .scalars import MAX_ORDER
@@ -40,9 +42,8 @@ class Matrix:
                           for i in range(n)])
 
     @classmethod
-    def zeros(cls, ring, n, m=None):
-        m = n if m is None else m
-        return cls(ring, [[ring.zero] * m for _ in range(n)])
+    def zeros(cls, ring, n):
+        return cls(ring, [[ring.zero] * n for _ in range(n)])
 
     @property
     def nrows(self):
@@ -216,25 +217,16 @@ def transitive_from_units(ring, units):
 
 
 def factor_transitive(T):
-    """Unit sequence g_i = t_{i,1}; reconstruction is checked by the
-    TransitiveMatrix round-trip."""
-    units = []
-    for i in range(1, T.n + 1):
-        g = T.entry(i, 1)
-        if T.ring.try_invert(g) is None:
-            raise MatrixError(f"first-column entry t_{i},1 is not invertible")
-        units.append(g)
-    return units
+    """Unit sequence g_i = t_{i,1}.  Each is a unit with inverse t_{1,i},
+    and g_i g_j^{-1} = t_i1 t_1j = t_ij rebuilds T."""
+    return [T.entry(i, 1) for i in range(1, T.n + 1)]
 
 
 def factorization_constant(T, other_units):
     """For a second factorization h_i of T, the constant c with h_i = g_i c;
-    returns None if no single constant works."""
-    g = factor_transitive(T)
-    ring = T.ring
-    g1_inv = ring.try_invert(g[0])
-    c = g1_inv * other_units[0]
-    if all(gi * c == hi for gi, hi in zip(g, other_units)):
+    returns None if no single constant works.  Since g_1 = t_11 = 1, c = h_1."""
+    c = other_units[0]
+    if all(gi * c == hi for gi, hi in zip(factor_transitive(T), other_units)):
         return c
     return None
 
@@ -245,22 +237,16 @@ def blow_up(T, cuts):
     cuts = list(cuts)
     if len(cuts) != T.n:
         raise MatrixError("cut sequence must have one entry per row of T")
-    full = [0] + cuts
-    if any(a >= b for a, b in zip(full, full[1:])):
+    if any(a >= b for a, b in zip([0] + cuts, cuts)):
         raise MatrixError("cut sequence must be strictly increasing from 0")
     m = cuts[-1]
     if m > MAX_ORDER:           # m x m entries, and m^2 solves in a shape
         raise CostCapError(f"blow-up size {m} exceeds the cap {MAX_ORDER}")
-
-    def block_index(p):
-        for i in range(1, len(full)):
-            if full[i - 1] < p <= full[i]:
-                return i
-        raise MatrixError("cut lookup out of range")
-
-    rows = [[T.entry(block_index(p), block_index(q)) for q in range(1, m + 1)]
-            for p in range(1, m + 1)]
-    return TransitiveMatrix(Matrix(T.ring, rows))
+    # index p (1-based) lies in block i (0-based) when d_i < p <= d_{i+1}
+    block = [bisect_left(cuts, p) for p in range(1, m + 1)]
+    t = T.matrix.rows
+    return TransitiveMatrix(Matrix(T.ring, [[t[i][j] for j in block]
+                                            for i in block]))
 
 
 def transitive_square(T):

@@ -10,10 +10,13 @@ text, read by ``OracleRing.parse``.  Matrices: {"n": 2, "entries":
 
 from __future__ import annotations
 
+import re
+
 from .grassmann import (GrassmannAlgebra, GrassmannElement, epsilon,
                         endomorphism_from_generator_images, rho, sigma)
 from .matrices import Matrix, TransitiveMatrix
-from .rings import OracleElement, OracleRing, RingError, RPolynomial
+from .rings import (CostCapError, OracleElement, OracleRing, RingError,
+                    RPolynomial)
 from .scalars import Cyc, CyclotomicField, parse_scalar
 from .supermatrix import SuperAlgebraSpec
 
@@ -29,14 +32,16 @@ def _mask_to_key(mask):
 
 
 def _key_to_mask(key, g):
-    if not key.strip():
-        return 0
+    """The mask of a key in the one form ``_mask_to_key`` writes: distinct
+    ascending indices in 1..g, comma-separated (empty for the scalar term)."""
     mask = 0
-    for part in key.split(","):
+    for part in key.split(",") if key else ():
         i = int(part)
         if not 1 <= i <= g:
             raise SerializationError(f"generator index {i} out of range 1..{g}")
         mask |= 1 << (i - 1)
+    if key != _mask_to_key(mask):
+        raise SerializationError(f"Grassmann key {key!r} is not ascending indices")
     return mask
 
 
@@ -66,10 +71,13 @@ def grassmann_from_json(algebra, doc):
 # --- generic elements ---
 
 def element_to_json(x):
-    if isinstance(x, GrassmannElement):
-        return grassmann_to_json(x)
-    if isinstance(x, (OracleElement, Cyc)):      # text: a polynomial, a scalar
-        return str(x)
+    try:
+        if isinstance(x, GrassmannElement):
+            return grassmann_to_json(x)
+        if isinstance(x, (OracleElement, Cyc)):  # text: a polynomial, a scalar
+            return str(x)
+    except ValueError as exc:   # an integer over CPython's decimal-text limit
+        raise CostCapError(f"result too long to print: {exc}") from None
     if isinstance(x, RPolynomial):
         return rpoly_to_json(x)
     raise SerializationError(f"no JSON encoding for {type(x).__name__}")
@@ -148,8 +156,9 @@ def delta_from_json(ring, doc):
     if isinstance(doc, str):
         if doc == "epsilon":
             return epsilon(ring, validate=False)
-        if doc.startswith("rho_e"):
-            order = int(doc.split(":")[1]) if ":" in doc else ring.field.order
+        match = re.fullmatch(r"rho_e(?::([0-9]+))?", doc)
+        if match:
+            order = int(match[1]) if match[1] else ring.field.order
             return rho(ring, ring.field.primitive_root(order), validate=False)
         if doc == "sigma":
             return sigma(ring, validate=False)

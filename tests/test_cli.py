@@ -202,7 +202,10 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
         {"ring": GRING, "matrix": {"n": 1, "entries": [[{"coeffs": {"": 3}}]]}},
         {"ring": GRING, "matrix": {"n": 1, "entries": [[{"coeffs": [1]}]]}},
     ] + [{"ring": GRING, "matrix": {"n": 1, "entries": [[entry]]}}
-         for entry in ("1/0", "[1/0]", {"coeffs": {"1": "2/0"}})]
+         for entry in ("1/0", "[1/0]", {"coeffs": {"1": "2/0"}},
+                       # a key other than distinct ascending indices
+                       {"coeffs": {"2,1": "1"}}, {"coeffs": {"1,1": "1"}},
+                       {"coeffs": {"1,2": "1", "2,1": "1"}})]
     for i, doc in enumerate(malformed):
         bad = write(tmp_path, f"bad{i}.json", doc)
         assert main(["sdet", bad]) == 2, doc
@@ -211,6 +214,10 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "embed.json", {
         "ring": GRING, "delta": "epsilon", "element": "1"})
     assert main(["embed", src, "--n", "0"]) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+    garbage = write(tmp_path, "garbage.json", {
+        "ring": GRING, "delta": "rho_e_garbage", "element": "1"})
+    assert main(["embed", garbage, "--n", "2"]) == 2
     assert "error" in json.loads(capsys.readouterr().err)
     # each top-level field is type-checked by its reader
     fields = [
@@ -297,6 +304,19 @@ def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
     # shapes: n^2 4^g is capped before any solve
     assert main(["example", "5.3", "--n", "100", "--g", "6"]) == 3
     assert "error" in json.loads(capsys.readouterr().err)
+    # an exact result whose decimal text is over CPython's digit limit
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        big = "1" + "0" * 2999
+        for i, doc in enumerate((
+                {"ring": {"type": "oracle", "variables": ["a"]},
+                 "matrix": {"n": 4, "entries": [
+                     ["2**4096" if i == j else "0" for j in range(4)]
+                     for i in range(4)]}},
+                {"ring": GRING, "matrix": {"n": 2, "entries": [
+                    [big, "0"], ["0", big]]}})):
+            assert main(["sdet", write(tmp_path, f"long{i}.json", doc)]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "error" in json.loads(err), doc
 
 
 def test_pretty_output_is_the_same_json(tmp_path, capsys, monkeypatch):

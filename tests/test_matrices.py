@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,13 @@ def test_blow_up_explicit():
                                          [-1, 1, 1],
                                          [-1, 1, 1]])
     assert transitive_square(B) == B.matrix.scalar_mul(3)
+    # uneven blocks of a 3x3 T: rows and columns 1 | 2-4 | 5-6
+    R = TransitiveMatrix(scalar_matrix(E, [[1, 2, 6], [Fraction(1, 2), 1, 3],
+                                           [Fraction(1, 6), Fraction(1, 3), 1]]))
+    sizes = (1, 3, 2)
+    expected = [[R.entry(a, b) for b in range(1, 4) for _ in range(sizes[b - 1])]
+                for a in range(1, 4) for _ in range(sizes[a - 1])]
+    assert blow_up(R, (1, 4, 6)).matrix == Matrix(E, expected)
     with pytest.raises(MatrixError):
         blow_up(P, (3,))
     with pytest.raises(MatrixError):
@@ -138,6 +146,9 @@ def test_factor_and_rebuild():
         T = transitive_from_units(E, units)
         rebuilt = transitive_from_units(E, factor_transitive(T))
         assert rebuilt.matrix == T.matrix
+        # every entry is a unit with inverse t_ji
+        for i, j in itertools.product(range(1, 4), repeat=2):
+            assert T.entry(i, j) * T.entry(j, i) == E.one
 
 
 def test_factorization_constant():

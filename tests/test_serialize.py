@@ -97,8 +97,11 @@ def test_delta_descriptors():
     for name in ("epsilon", "sigma", "rho_e:3"):
         d = delta_from_json(E, name)
         assert delta_to_json(d) == name
-    with pytest.raises(SerializationError):
-        delta_from_json(E, "transpose")
+    assert delta_to_json(delta_from_json(E, "rho_e")) == "rho_e:3"
+    for name in ("transpose", "rho_e_garbage", "rho_e:", "rho_e:3x",
+                 "rho_e: 3", "rho_e:-3", "rho_e3"):
+        with pytest.raises(SerializationError):
+            delta_from_json(E, name)
     custom = delta_from_json(
         E, {"generator_images": [{"coeffs": {"1": "-1"}},
                                  {"coeffs": {"2": "-1"}}]})

@@ -67,6 +67,26 @@ def test_embed_corollary_example(spec_eps_p):
     assert embed(spec_eps_p, x) == Matrix(E, [[x, E.zero], [E.zero, x]])
 
 
+def test_embed_matches_defining_sum():
+    """embed(r)_ij = (1/n) sum_k t_ji^k delta^k(r), term by term, for
+    epsilon (5.1), rho over Q(zeta3) (5.2 at n = 3) and sigma (5.3)."""
+    rng = random.Random(9)
+    for spec in (example_5_1(3, 1, 3), example_5_2(3, 3), example_5_3(3, 2, 3)):
+        E, n = spec.ring, spec.n
+        for _ in range(3):
+            r = E.random_element(rng)
+            A = embed(spec, r)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    x = E.zero
+                    for k in range(n):
+                        t_k = E.one
+                        for _ in range(k):
+                            t_k = t_k * spec.T.entry(j, i)
+                        x = x + t_k * spec.delta.iterate(k, r)
+                    assert A.entry(i, j) == x * Fraction(1, n), (spec, i, j)
+
+
 def test_embedding_laws(spec_eps_p):
     rng = random.Random(4)
     E = spec_eps_p.ring
