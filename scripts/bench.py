@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Micro-benchmark of the scalar, Grassmann and oracle layers, and of a
-cold CLI.
+"""Micro-benchmark of the scalar, Grassmann, determinant and oracle layers,
+and of a cold CLI.
 
 Prints microseconds per operation for ``Cyc`` multiplication, addition and
 inverse over Q(zeta_n) at n = 1, 3, 4, 5, and for Grassmann multiplication
 at g = 4 and 8 over Q.  Operands come from fixed seeds, so two checkouts
 time the same inputs.  Each figure is the best of several repeats of a
 loop over a fixed pool of operands.
+
+The determinant section prints the milliseconds of ``sdet`` and
+``preadjoint`` on a seeded n x n matrix of random g = 4 Grassmann elements
+over Q, at n = 3, 4, 5: the best of three calls in this interpreter.
 
 The oracle section prints the wall seconds of acceptance criterion 3
 (``sdet = n! det`` and ``A* = (n-1)! adj`` on symbolic n = 2, 3, 4) and
@@ -43,13 +47,17 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 
+from lienil import dets  # noqa: E402
 from lienil.grassmann import GrassmannAlgebra  # noqa: E402
+from lienil.matrices import Matrix  # noqa: E402
 from lienil.scalars import QQ, CyclotomicField  # noqa: E402
 
 ORDERS = (1, 3, 4, 5)
 GENERATORS = (4, 8)
 POOL = 64
 REPEATS = 9
+DET_SIZES = (3, 4, 5)
+DET_REPEATS = 3
 ORACLE_REPEATS = 3
 # One timed oracle call (argv[1]: criterion_3 or <sdet|preadjoint>_n<n>).
 ORACLE_SNIPPET = """
@@ -130,6 +138,24 @@ def grassmann_cases(g):
     return {f"grassmann_mul_g{g}": _best_us(lambda a, b: a * b, pairs, 3)}
 
 
+def det_cases():
+    """Best-of-DET_REPEATS milliseconds of the permutation double sums."""
+    algebra = GrassmannAlgebra(4, QQ)
+    out = {}
+    for n in DET_SIZES:
+        rng = random.Random(3000 + n)
+        A = Matrix(algebra, [[algebra.random_element(rng) for _ in range(n)]
+                             for _ in range(n)])
+        for name in ("sdet", "preadjoint"):
+            best = float("inf")
+            for _ in range(DET_REPEATS):
+                t0 = time.perf_counter()
+                getattr(dets, name)(A)
+                best = min(best, time.perf_counter() - t0)
+            out[f"{name}_n{n}"] = best * 1e3
+    return out
+
+
 def oracle_cases():
     """Median seconds of criterion 3 and milliseconds of the symbolic calls,
     each timed in a fresh interpreter (see the docstring)."""
@@ -184,6 +210,9 @@ def main(argv=None):
         us.update(grassmann_cases(g))
     for name, value in us.items():
         print(f"{name:<24} {value:9.2f} us/op")
+    det_ms = det_cases()
+    for name, value in det_ms.items():
+        print(f"{name:<24} {value:9.1f} ms")
     oracle = oracle_cases()
     for name, value in oracle.items():
         print(f"{name:<24} {value:9.3f} {name.rsplit('_', 1)[1]}")
@@ -199,6 +228,7 @@ def main(argv=None):
             "python": platform.python_version()})
         doc[args.label] = {
             "us_per_op": {k: round(v, 3) for k, v in us.items()},
+            "dets_ms": {k: round(v, 1) for k, v in det_ms.items()},
             "oracle": {k: round(v, 3) for k, v in oracle.items()},
             "cold_start_ms": {k: round(v, 1) for k, v in cold.items()}}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -7,7 +7,6 @@ runs.  Timings are collected separately.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -21,6 +20,7 @@ from .matrices import (Matrix, TransitiveMatrix, blow_up, factor_transitive,
                        transitive_square)
 from .rings import classical_adj, classical_det, fixed_ring_member, oracle_ring
 from .scalars import QQ, CyclotomicField
+from .serialize import canonical_report
 from .supermatrix import (check_embedding_conditions, example_5_1,
                           example_5_2, example_5_3, is_supermatrix, p_matrix,
                           sample_supermatrix, shape, verify_embedding)
@@ -322,10 +322,6 @@ def run_core(slow=False):
         results.append({"criterion": num, "name": name,
                         "passed": bool(passed), "details": details})
     return results, timings
-
-
-def canonical_report(results):
-    return json.dumps(results, sort_keys=True, separators=(",", ":"))
 
 
 def reproduce_all(slow=False):

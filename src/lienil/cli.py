@@ -17,15 +17,15 @@ import json
 import random
 import sys
 
-from . import acceptance, dets
+from . import dets
 from .matrices import (TransitiveMatrix, blow_up, factor_transitive,
                        is_transitive, theta, transitive_from_units)
 from .rings import CostCapError, RingError
 from .scalars import OrderCapError, ScalarError
-from .serialize import (SerializationError, delta_from_json,
-                        element_from_json, element_to_json, field,
-                        matrix_from_json, matrix_to_json, ring_from_json,
-                        spec_from_json, spec_to_json)
+from .serialize import (SerializationError, canonical_report,
+                        delta_from_json, element_from_json, element_to_json,
+                        field, matrix_from_json, matrix_to_json,
+                        ring_from_json, spec_from_json, spec_to_json)
 from .supermatrix import (check_embedding_conditions, example_algebra,
                           is_supermatrix, root_embedding, sample_supermatrix)
 
@@ -43,14 +43,18 @@ class Document:
     """The JSON input object, read once, and its ring, decoded once.  Each
     kind of top-level field has one reader, which checks its JSON type and
     decodes it over that ring.  ``main`` turns a missing or mistyped field
-    (SerializationError), an unreadable file or invalid JSON into exit 2."""
+    (SerializationError), an unreadable file, invalid JSON or JSON nested
+    past the decoder's recursion limit into exit 2."""
 
     def __init__(self, path):
-        if path == "-":
-            doc = json.load(sys.stdin)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        try:
+            if path == "-":
+                doc = json.load(sys.stdin)
+            else:
+                with open(path, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+        except RecursionError:
+            raise SerializationError("JSON input nests too deeply") from None
         if not isinstance(doc, dict):
             raise SerializationError("JSON input must be an object")
         self.doc = doc
@@ -174,11 +178,12 @@ def cmd_example(doc, args):
 def cmd_reproduce_all(doc, args):
     """The canonical report is the payload, or goes to --report; the
     per-criterion timings go to stderr."""
+    from . import acceptance
     report, timings = acceptance.reproduce_all(slow=args.slow)
     results = report["results"]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(acceptance.canonical_report(results))
+            fh.write(canonical_report(results))
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
         t = timings.get(str(r["criterion"]))
@@ -258,7 +263,7 @@ def main(argv=None):
         return EXIT_BAD_INPUT
     if payload is not None:      # compact output is the canonical encoding
         print(json.dumps(payload, sort_keys=True, indent=2) if args.pretty
-              else acceptance.canonical_report(payload))
+              else canonical_report(payload))
     return code
 
 

@@ -40,13 +40,9 @@ class GrassmannAlgebra(Ring):
             raise RingError("generator count must be between 0 and 64")
         self.g = g
         self.field = field
-
-    def __eq__(self, other):
-        return (isinstance(other, GrassmannAlgebra)
-                and other.g == self.g and other.field == self.field)
-
-    def __hash__(self):
-        return hash(("GrassmannAlgebra", self.g, self.field))
+        self.params = (g, field)
+        self.zero = GrassmannElement(self, {})
+        self.one = self.from_scalar(1)
 
     def __repr__(self):
         return f"GrassmannAlgebra(g={self.g}, field={self.field!r})"
@@ -65,14 +61,6 @@ class GrassmannAlgebra(Ring):
             if c:
                 clean[mask] = c
         return GrassmannElement(self, clean)
-
-    @property
-    def zero(self):
-        return GrassmannElement(self, {})
-
-    @property
-    def one(self):
-        return self.from_scalar(1)
 
     def from_scalar(self, c):
         return self.element({0: c})
@@ -225,22 +213,11 @@ class GrassmannElement(RingElement):
                     del out[m]
         return GrassmannElement(self.ring, out)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    __hash__ = RingElement.__hash__
-
     def _scalar(self):
         return None if self.coeffs.keys() - {0} else self.scalar_part
 
     def _key(self):
-        return frozenset(self.coeffs.items())
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        return self.coeffs
 
     @property
     def scalar_part(self):

@@ -41,10 +41,6 @@ class Matrix:
         return cls(ring, [[ring.one if i == j else ring.zero for j in range(n)]
                           for i in range(n)])
 
-    @classmethod
-    def zeros(cls, ring, n):
-        return cls(ring, [[ring.zero] * n for _ in range(n)])
-
     @property
     def nrows(self):
         return len(self.rows)
@@ -312,24 +308,12 @@ class MatrixRing(Ring):
         self.base = base
         self.n = n
         self.field = base.field
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixRing)
-                and other.base == self.base and other.n == self.n)
-
-    def __hash__(self):
-        return hash(("MatrixRing", self.base, self.n))
+        self.params = (base, n)
+        self.zero = Matrix(base, [[base.zero] * n] * n)
+        self.one = Matrix.identity(base, n)
 
     def __repr__(self):
         return f"MatrixRing({self.base!r}, n={self.n})"
-
-    @property
-    def zero(self):
-        return Matrix.zeros(self.base, self.n)
-
-    @property
-    def one(self):
-        return Matrix.identity(self.base, self.n)
 
     def from_scalar(self, c):
         return self.one.scalar_mul(self.base.from_scalar(c))
@@ -339,7 +323,7 @@ class MatrixRing(Ring):
         d = M.rows[0][0]
         if not self.base.is_central(d):
             return False
-        return M == Matrix.identity(self.base, self.n).map_entries(lambda e: e * d)
+        return M == self.one.map_entries(lambda e: e * d)
 
     def try_invert(self, M):
         return None  # not needed at desk scale

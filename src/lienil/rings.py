@@ -45,12 +45,12 @@ def check_same_ring(x, y):
 
 class RingElement:
     """Operators shared by the element classes.  A subclass defines
-    ``ring``, ``__add__``, ``__neg__``, ``__mul__`` and ``__eq__`` on itself;
-    its ``__add__``, ``__mul__`` and ``__eq__`` start with ``_coerce``.  So
-    that == and hash agree, an element equal to a scalar (an R[z] constant:
-    to a base element) hashes like that value: a subclass defines that value
-    as ``_scalar()`` (None if there is none) and its other content as
-    ``_key()``, and rebinds ``__hash__``, since defining ``__eq__`` unsets it."""
+    ``ring``, ``__add__``, ``__neg__`` and ``__mul__``, which start with
+    ``_coerce``, and two views of its content: ``_key()``, the raw
+    coefficient dict or tuple, which == compares and bool tests, and
+    ``_scalar()``, the scalar (an R[z] constant: the base element) the
+    element equals, or None.  So that == and hash agree, an element equal
+    to a scalar hashes like that value; any other hashes by ring and key."""
 
     __slots__ = ()
 
@@ -82,20 +82,39 @@ class RingElement:
         o = self._coerce(other)
         return NotImplemented if o is None else o * self
 
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._key() == o._key()
+
+    def __bool__(self):
+        return bool(self._key())
+
     def __hash__(self):
         value = self._scalar()
-        return hash((self.ring, self._key()) if value is None else value)
+        if value is not None:
+            return hash(value)
+        key = self._key()
+        return hash((self.ring, frozenset(key.items())
+                     if isinstance(key, dict) else key))
 
 
 class Ring:
     """Base contract: unital ring over a scalar field, with exact equality.
-    A subclass defines the properties ``zero`` and ``one`` and the methods
-    ``from_scalar(c)`` (embed a field scalar, int or Fraction),
+    A subclass sets, in ``__init__``, ``params`` (the tuple that rings of
+    its type compare and hash by) and its ``zero`` and ``one``, built once.
+    It defines ``from_scalar(c)`` (embed a field scalar, int or Fraction),
     ``is_central(x)``, ``try_invert(x)`` (the inverse, or None if x is not
     a unit or it is undecided), ``generating_set()`` (the elements that
     validate an endomorphism) and ``random_element(rng)``."""
 
     field = QQ
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self)
+                                 and other.params == self.params)
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.params))
 
     def coerce_scalar(self, c):
         if isinstance(c, Cyc):
@@ -201,12 +220,10 @@ class PolynomialRing(Ring):
     def __init__(self, base):
         self.base = base
         self.field = base.field
-
-    def __eq__(self, other):
-        return isinstance(other, PolynomialRing) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("PolynomialRing", self.base))
+        self.params = (base,)
+        self.zero = self.element([])
+        self.one = self.element([base.one])
+        self.z = self.element([base.zero, base.one])
 
     def __repr__(self):
         return f"PolynomialRing({self.base!r})"
@@ -219,18 +236,6 @@ class PolynomialRing(Ring):
 
     def constant(self, x):
         return self.element([x])
-
-    @property
-    def z(self):
-        return self.element([self.base.zero, self.base.one])
-
-    @property
-    def zero(self):
-        return self.element([])
-
-    @property
-    def one(self):
-        return self.element([self.base.one])
 
     def from_scalar(self, c):
         return self.constant(self.base.from_scalar(c))
@@ -301,22 +306,11 @@ class RPolynomial(RingElement):
                 out[i + j] = out[i + j] + a * b
         return self.ring.element(out)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    __hash__ = RingElement.__hash__
-
     def _scalar(self):
         return self.coeff(0) if len(self.coeffs) < 2 else None
 
     def _key(self):
         return self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def subst_right(self, x):
         """Sum x^i * c_i with the coefficients on the right."""
@@ -383,12 +377,9 @@ class OracleRing(Ring):
         if len(set(self.variables)) < len(self.variables):
             raise RingError(f"oracle variables {self.variables} repeat a name")
         self.names = tuple(sorted(self.variables))
-
-    def __eq__(self, other):
-        return isinstance(other, OracleRing) and other.variables == self.variables
-
-    def __hash__(self):
-        return hash(("OracleRing", self.variables))
+        self.params = self.variables
+        self.zero = OracleElement(self, {})
+        self.one = self.from_scalar(1)
 
     def __repr__(self):
         return f"OracleRing({list(self.variables)!r})"
@@ -419,14 +410,6 @@ class OracleRing(Ring):
             raise RingError(f"unknown oracle variable {name!r}")
         return self.element({tuple(int(v == name) for v in self.names):
                              Fraction(1)})
-
-    @property
-    def zero(self):
-        return OracleElement(self, {})
-
-    @property
-    def one(self):
-        return self.from_scalar(1)
 
     def from_scalar(self, c):
         q = self.coerce_scalar(c).to_fraction()
@@ -615,24 +598,13 @@ class OracleElement(RingElement):
         return self.ring.element({m: Fraction(c, dp * dq)
                                   for m, c in out.items()})
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    __hash__ = RingElement.__hash__
-
     def _scalar(self):
         zero = (0,) * len(self.ring.names)
         constant = self.terms.get(zero, Fraction(0))
         return None if self.terms.keys() - {zero} else constant
 
     def _key(self):
-        return frozenset(self.terms.items())
-
-    def __bool__(self):
-        return bool(self.terms)
+        return self.terms
 
     def __str__(self):
         """The expanded form, terms in descending lex order of their

@@ -184,7 +184,7 @@ _FIELDS = {}                 # order -> the one CyclotomicField of that order
 
 
 class CyclotomicField:
-    """Handle for Q(zeta_n): one instance per order, compared by the order."""
+    """Handle for Q(zeta_n): one instance per order, compared by identity."""
 
     def __new__(cls, order):
         field = _FIELDS.get(order)
@@ -208,12 +208,6 @@ class CyclotomicField:
 
     def __reduce__(self):
         return CyclotomicField, (self.order,)
-
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicField) and other.order == self.order
-
-    def __hash__(self):
-        return hash(("CyclotomicField", self.order))
 
     def __repr__(self):
         return f"CyclotomicField({self.order})"

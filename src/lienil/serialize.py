@@ -10,6 +10,7 @@ text, read by ``OracleRing.parse``.  Matrices: {"n": 2, "entries":
 
 from __future__ import annotations
 
+import json
 import re
 
 from .grassmann import (GrassmannAlgebra, GrassmannElement, epsilon,
@@ -66,6 +67,11 @@ def grassmann_from_json(algebra, doc):
         mask = _key_to_mask(key, algebra.g)
         coeffs[mask] = parse_scalar(algebra.field, text)
     return algebra.element(coeffs)
+
+
+def canonical_report(payload):
+    """The canonical JSON text of a payload: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 # --- generic elements ---
@@ -153,6 +159,11 @@ def ring_from_json(doc):
 
 
 def delta_from_json(ring, doc):
+    """The Grassmann endomorphism a descriptor names: "epsilon", "sigma",
+    "rho_e", "rho_e:<k>" or {"generator_images": [...]}."""
+    if not isinstance(ring, GrassmannAlgebra):
+        raise SerializationError(
+            f"an endomorphism descriptor needs a Grassmann ring, not {ring!r}")
     if isinstance(doc, str):
         if doc == "epsilon":
             return epsilon(ring, validate=False)

@@ -219,6 +219,30 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
         "ring": GRING, "delta": "rho_e_garbage", "element": "1"})
     assert main(["embed", garbage, "--n", "2"]) == 2
     assert "error" in json.loads(capsys.readouterr().err)
+    # every endomorphism descriptor names a Grassmann map, and JSON nested
+    # past the decoder's recursion limit is bad input too
+    one = {"entries": [["1"]]}
+    refused = [
+        (["conditions"], {"ring": ORING, "delta": "epsilon", "T": one}),
+        (["membership"], {"ring": ORING, "delta": "epsilon", "T": one,
+                          "matrix": {"entries": [["a"]]}}),
+        (["embed", "--n", "2"], {"ring": ORING, "delta": "epsilon",
+                                 "element": "a"}),
+        (["integrality", "--n", "2", "--k", "1"],
+         {"ring": ORING, "delta": "epsilon", "element": "a"}),
+    ] + [(["embed", "--n", "2"], {"ring": ORING, "delta": delta,
+                                  "element": "a"})
+         for delta in ("rho_e", "sigma", {"generator_images": ["a", "b"]})]
+    for i, (cmd, doc) in enumerate(refused):
+        src = write(tmp_path, f"refused{i}.json", doc)
+        assert main(cmd[:1] + [src] + cmd[1:]) == 2, (cmd, doc)
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in json.loads(err), (cmd, doc)
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"ring": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["sdet", str(deep)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error" in json.loads(err)
     # each top-level field is type-checked by its reader
     fields = [
         (["transitive", "blowup"], {"ring": GRING, "matrix": PAIR, "cuts": "12"}),

@@ -90,7 +90,7 @@ def test_transitivity_witnesses():
     E = GrassmannAlgebra(0, QQ)
     # every triple holds in the zero matrix, but t_11 = 0: not transitive,
     # yet Theta_T is multiplicative, so no pair of matrix units separates it
-    Z = Matrix.zeros(E, 2)
+    Z = MatrixRing(E, 2).zero
     assert not is_transitive(Z) and matrix_units_counterexample(Z) is None
     # the failure sits away from the first row and column
     M = scalar_matrix(E, [[1, 1, 1], [1, 1, 1], [1, 2, 1]])

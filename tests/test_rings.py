@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lienil import (Endomorphism, GrassmannAlgebra, Matrix, PolynomialRing,
-                    QQ, RingError, classical_adj, classical_det, commutator,
+from lienil import (CyclotomicField, Endomorphism, GrassmannAlgebra, Matrix,
+                    MatrixRing, PolynomialRing, QQ, RingError, classical_adj, classical_det, commutator,
                     epsilon, extend_endomorphism_to_poly, fixed_ring_member,
                     is_lie_nilpotent_index, left_normed_commutator,
                     oracle_ring)
@@ -162,10 +162,45 @@ def test_context_mismatch_is_rejected():
             x + y
 
 
+def _one_of_each_kind():
+    E = GrassmannAlgebra(2)
+    return [E, oracle_ring(["x", "y"]), PolynomialRing(E), MatrixRing(E, 2)]
+
+
+@pytest.mark.parametrize("build, build_again, others", [
+    (lambda: GrassmannAlgebra(2), lambda: GrassmannAlgebra(2, QQ),
+     lambda: [GrassmannAlgebra(3), GrassmannAlgebra(2, CyclotomicField(3))]),
+    (lambda: oracle_ring(["x", "y"]), lambda: oracle_ring(("x", "y")),
+     lambda: [oracle_ring(["y", "x"]), oracle_ring(["x"])]),
+    (lambda: PolynomialRing(GrassmannAlgebra(2)),
+     lambda: PolynomialRing(GrassmannAlgebra(2)),
+     lambda: [PolynomialRing(GrassmannAlgebra(3)),
+              PolynomialRing(oracle_ring(["x", "y"]))]),
+    (lambda: MatrixRing(GrassmannAlgebra(2), 2),
+     lambda: MatrixRing(GrassmannAlgebra(2), 2),
+     lambda: [MatrixRing(GrassmannAlgebra(2), 3),
+              MatrixRing(GrassmannAlgebra(3), 2)]),
+], ids=["grassmann", "oracle", "polynomial", "matrix"])
+def test_ring_contract(build, build_again, others):
+    """Rings compare and hash by type and parameters, build zero and one
+    once, and elements of two equal rings built apart mix."""
+    R, S = build(), build_again()
+    assert R is not S and R == S and hash(R) == hash(S) and len({R, S}) == 1
+    unequal = others() + [k for k in _one_of_each_kind()
+                          if type(k) is not type(R)]
+    for other in unequal:
+        assert R != other and other != R, other
+    assert R.zero is R.zero and R.one is R.one
+    assert getattr(R, "z", None) is getattr(R, "z", None)
+    assert R.one + S.one == R.from_scalar(2) == S.one + R.one
+    assert S.one * R.zero == R.zero and R.one != S.zero
+    if not isinstance(R, MatrixRing):       # a matrix never equals a scalar
+        assert R.one + S.one == 2
+
+
 def test_equal_elements_hash_alike():
     """== lifts scalars (and, in R[z], base elements), so an element equal
     to such a value must hash like it: a set holds them once."""
-    from lienil import CyclotomicField
     E = GrassmannAlgebra(2, QQ)
     v1 = E.generator(1)
     Rz = PolynomialRing(E)
