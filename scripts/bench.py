@@ -10,7 +10,9 @@ loop over a fixed pool of operands.
 
 The determinant section prints the milliseconds of ``sdet`` and
 ``preadjoint`` on a seeded n x n matrix of random g = 4 Grassmann elements
-over Q, at n = 3, 4, 5: the best of three calls in this interpreter.
+over Q, at n = 3, 4, 5, and of ``sdet`` on a seeded sparse 5 x 5 matrix
+at g = 4 (a unit diagonal; each off-diagonal entry is one monomial with
+probability 0.4, else zero): the best of three calls in this interpreter.
 
 The oracle section prints the wall seconds of acceptance criterion 3
 (``sdet = n! det`` and ``A* = (n-1)! adj`` on symbolic n = 2, 3, 4) and
@@ -58,6 +60,8 @@ POOL = 64
 REPEATS = 9
 DET_SIZES = (3, 4, 5)
 DET_REPEATS = 3
+SPARSE_N = 5
+SPARSE_DENSITY = 0.4
 ORACLE_REPEATS = 3
 # One timed oracle call (argv[1]: criterion_3 or <sdet|preadjoint>_n<n>).
 ORACLE_SNIPPET = """
@@ -138,21 +142,41 @@ def grassmann_cases(g):
     return {f"grassmann_mul_g{g}": _best_us(lambda a, b: a * b, pairs, 3)}
 
 
+def _sparse_matrix(algebra, rng, n):
+    """A unit diagonal (a +-1, +-2 scalar plus one monomial); each
+    off-diagonal entry is one +-1, +-2 monomial with probability
+    SPARSE_DENSITY, else zero."""
+    def entry(i, j):
+        if i == j:
+            return algebra.element({rng.randrange(1, algebra.dim):
+                                    rng.choice((-1, 1)),
+                                    0: rng.choice((-2, -1, 1, 2))})
+        if rng.random() < SPARSE_DENSITY:
+            return algebra.element({rng.randrange(algebra.dim):
+                                    rng.choice((-2, -1, 1, 2))})
+        return algebra.zero
+    return Matrix(algebra, [[entry(i, j) for j in range(n)] for i in range(n)])
+
+
 def det_cases():
     """Best-of-DET_REPEATS milliseconds of the permutation double sums."""
     algebra = GrassmannAlgebra(4, QQ)
-    out = {}
+    cases = []
     for n in DET_SIZES:
         rng = random.Random(3000 + n)
         A = Matrix(algebra, [[algebra.random_element(rng) for _ in range(n)]
                              for _ in range(n)])
-        for name in ("sdet", "preadjoint"):
-            best = float("inf")
-            for _ in range(DET_REPEATS):
-                t0 = time.perf_counter()
-                getattr(dets, name)(A)
-                best = min(best, time.perf_counter() - t0)
-            out[f"{name}_n{n}"] = best * 1e3
+        cases += [(f"{name}_n{n}", name, A) for name in ("sdet", "preadjoint")]
+    sparse = _sparse_matrix(algebra, random.Random(3100 + SPARSE_N), SPARSE_N)
+    cases.append((f"sdet_sparse_n{SPARSE_N}", "sdet", sparse))
+    out = {}
+    for label, name, A in cases:
+        best = float("inf")
+        for _ in range(DET_REPEATS):
+            t0 = time.perf_counter()
+            getattr(dets, name)(A)
+            best = min(best, time.perf_counter() - t0)
+        out[label] = best * 1e3
     return out
 
 

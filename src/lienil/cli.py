@@ -226,7 +226,7 @@ def build_parser():
     add("embed", cmd_embed, "embed a ring element as a supermatrix",
         opt("--n", type=int, required=True),
         opt("--root", type=int, default=0,
-            help="root-of-unity order (defaults to n)"))
+            help="root-of-unity order: n, the default"))
     add("conditions", cmd_conditions, "embedding condition report")
     add("membership", cmd_membership, "supermatrix membership check")
     add("sample", cmd_sample, "sample a random member",

@@ -4,6 +4,9 @@ Cayley-Hamilton residuals, and integrality certificates.
 
 All permutation sums follow the position order t = 1..n; the double sum
 adds its terms left to right in the order the permutations are enumerated.
+A term with a zero factor costs no ring multiply, a product stops at its
+first zero partial product, and zero terms are not added: the nonzero
+terms keep their order.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from .supermatrix import root_embedding
 MAX_N = 5                 # the (n!)^2 enumerations stop here
 # An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
 # degree n^k in the entries of A.  At g = 4 the costliest degree admitted,
-# n=5, k=3, takes 13 s for charpoly and 19 s for rdet on dense entries
-# (`embed --n 100` takes 23 s); the next, 5^4 = 625, over 90 s.  A 1x1
-# chain does constant work per step; k <= 512 holds it under 50 ms.
+# n=5, k=3, takes 13 s for charpoly and 19 s for rdet on dense entries;
+# the next, 5^4 = 625, over 90 s.  A 1x1 chain does constant work per
+# step; k <= 512 holds it under 50 ms.
 MAX_DEGREE = 512
 
 
@@ -55,9 +58,15 @@ def _pair_sum(A, fixed=None):
     """sum over alpha, beta in S_n of sgn(alpha) sgn(beta) times
     a_{alpha(t),beta(t)} over the positions t in order.  With fixed = (s, r)
     only the pairs with alpha(s) = s and beta(s) = r count, and position s
-    is left out of the product."""
+    is left out of the product.
+
+    The pairs are generated lazily.  A's zero pattern is read once: a pair
+    that meets a zero entry is the term ``ring.zero`` with no ring multiply.
+    Any other product starts from its first factor (an empty product, as in
+    the 1x1 preadjoint, is ``ring.one``) and stops at a zero partial
+    product."""
     n = A.nrows
-    ring = A.ring
+    ring, rows = A.ring, A.rows
     perms = [(p, _sign(p)) for p in permutations(range(n))]
     alphas = betas = perms
     positions = range(n)
@@ -66,13 +75,26 @@ def _pair_sum(A, fixed=None):
         alphas = [(p, sp) for p, sp in perms if p[s] == s]
         betas = [(p, sp) for p, sp in perms if p[s] == r]
         positions = [t for t in positions if t != s]
-    pairs = [(pa, sa, pb, sb) for pa, sa in alphas for pb, sb in betas]
+    # Bit n t + j stands for column j at position t: alpha carries the
+    # zero entries of its rows, beta the columns it picks.
+    zero_cols = [sum(1 << j for j, x in enumerate(row) if not x)
+                 for row in rows]
+    alphas = [(p, sp, sum(zero_cols[p[t]] << n * t for t in positions))
+              for p, sp in alphas]
+    betas = [(p, sp, sum(1 << n * t + p[t] for t in positions))
+             for p, sp in betas]
+    pairs = ((a, b) for a in alphas for b in betas)
 
     def term(item):
-        pa, sa, pb, sb = item
-        prod = ring.one
-        for t in positions:
-            prod = prod * A.rows[pa[t]][pb[t]]
+        (pa, sa, zeros), (pb, sb, picks) = item
+        if zeros & picks:
+            return ring.zero
+        factors = (rows[pa[t]][pb[t]] for t in positions)
+        prod = next(factors, ring.one)
+        for x in factors:
+            prod = prod * x
+            if not prod:
+                return ring.zero
         return prod if sa * sb > 0 else -prod
 
     return map_reduce_sum(pairs, term, ring.zero)

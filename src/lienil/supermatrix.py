@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from operator import mul
 
@@ -117,13 +118,15 @@ def closure_check(spec, A, B, scalars=(1,)):
 
 def embed(spec, r):
     """The map r -> (1/n)[x_ij(r)], x_ij(r) = sum_k t_ji^k delta^k(r), from
-    the powers delta^0(r) .. delta^(n-1)(r) computed once."""
+    the powers delta^0(r) .. delta^(n-1)(r) computed once.  x_ij depends
+    on t_ji alone, so each distinct entry of T is summed once."""
     ring, n = spec.ring, spec.n
     d = [r]
     for _ in range(n - 1):
         d.append(spec.delta(d[-1]))
     inv_n = ring.from_scalar(Fraction(1, n))
 
+    @cache
     def x(t):
         t_pows = accumulate([t] * (n - 1), mul, initial=ring.one)
         return sum((p * dk for p, dk in zip(t_pows, d)), ring.zero) * inv_n
@@ -300,13 +303,21 @@ def p_matrix(ring, u, n=2):
 
 
 def root_embedding(r, delta, n, root=0):
-    """embed(r) in M_n(R, delta, P^(e)) for e a primitive root of unity of
-    order ``root`` (n when 0).  The embedding costs about n^3 products, so
-    n is capped at MAX_ORDER."""
+    """embed(r) in M_n(R, delta, P^(e)) for e a primitive n-th root of unity.
+    ``root``, the order of e, defaults to n; any other order, or a delta
+    whose n-th power moves a generator of R, gives no embedding and is
+    refused before any work.  Each entry is a sum of n products, so n is
+    capped at MAX_ORDER."""
     if n > MAX_ORDER:
         raise OrderCapError(f"embedding size {n} exceeds the cap {MAX_ORDER}")
     ring = r.ring
     e = ring.field.primitive_root(root or n)
+    if root and root != n:
+        raise SuperMatrixError(f"a root of order {root} gives no embedding "
+                               f"at n = {n}: the order must be n")
+    if any(delta.iterate(n, x) != x for x in ring.generating_set()):
+        raise SuperMatrixError(f"{delta.name}^{n} is not the identity, so "
+                               f"there is no embedding at n = {n}")
     return embed(SuperAlgebraSpec(ring, delta, p_matrix(ring, e, n=n)), r)
 
 

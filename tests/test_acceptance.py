@@ -1,5 +1,6 @@
 """The acceptance gate: one test per criterion, all read from one
-reproduce_all report, plus the slow degree-9 Cayley-Hamilton instance."""
+reproduce_all report, plus a degree-9 Cayley-Hamilton instance like the
+one ``reproduce-all --slow`` adds."""
 
 import random
 from pathlib import Path
@@ -77,7 +78,6 @@ def test_criterion_11_determinism(report):
         encoding="utf-8")
 
 
-@pytest.mark.slow
 def test_slow_degree9_cayley_hamilton():
     """n = 3, k = 2: the degree-9 right Cayley-Hamilton identity on a
     sampled member of M_3(E, rho_e, P^(e))."""

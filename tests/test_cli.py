@@ -158,12 +158,17 @@ def test_embed_and_integrality(tmp_path, capsys):
     assert doc["matrix"]["entries"][0][0]["coeffs"] == {}
     code, doc = run(capsys, ["integrality", src, "--n", "2", "--k", "2"])
     assert code == 0 and doc["right_holds"] and doc["left_holds"]
-    # rho over Q(zeta_70): a root of unity of order above 64
+    # rho over Q(zeta_70): a root of unity of order above 64, at n = 70
     src = write(tmp_path, "rho.json", {
         "ring": {"type": "grassmann", "g": 2, "root_order": 70},
         "delta": "rho_e:70", "element": {"coeffs": {"1": "1"}}})
-    code, doc = run(capsys, ["embed", src, "--n", "2", "--root", "70"])
-    assert code == 0 and doc["matrix"]["n"] == 2
+    code, doc = run(capsys, ["embed", src, "--n", "70", "--root", "70"])
+    assert code == 0 and doc["matrix"]["n"] == 70
+    # rho(v1) = e v1, so the image of v1 is v1 times a cyclic shift
+    entries = doc["matrix"]["entries"]
+    assert all(entries[i][j]["coeffs"] == ({"1": "1"} if j == (i - 1) % 70
+                                           else {})
+               for i in range(70) for j in range(70))
 
 
 def test_example_command(capsys):
@@ -215,6 +220,21 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
         "ring": GRING, "delta": "epsilon", "element": "1"})
     assert main(["embed", src, "--n", "0"]) == 2
     assert "error" in json.loads(capsys.readouterr().err)
+    # no embedding: the root order is not n, or delta^n is not the identity
+    rho70 = write(tmp_path, "rho70.json", {
+        "ring": {"type": "grassmann", "g": 2, "root_order": 70},
+        "delta": "rho_e:70", "element": {"coeffs": {"1": "1"}}})
+    eps3 = write(tmp_path, "eps3.json", {
+        "ring": dict(GRING, root_order=3), "delta": "epsilon",
+        "element": "1"})
+    for argv in (["embed", src, "--n", "3", "--root", "2"],
+                 ["embed", rho70, "--n", "2", "--root", "70"],
+                 ["embed", rho70, "--n", "2"],
+                 ["embed", eps3, "--n", "3"],
+                 ["integrality", eps3, "--n", "3", "--k", "1"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in json.loads(err), argv
     garbage = write(tmp_path, "garbage.json", {
         "ring": GRING, "delta": "rho_e_garbage", "element": "1"})
     assert main(["embed", garbage, "--n", "2"]) == 2

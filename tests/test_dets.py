@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from lienil import (CostCapError, GrassmannAlgebra, Matrix, QQ, RingError,
+from lienil import (CostCapError, CyclotomicField, GrassmannAlgebra,
+                    GrassmannElement, Matrix, QQ, RingError,
                     adjoint_sequence, cayley_hamilton_check, charpoly,
                     classical_adj, classical_det, epsilon,
                     integrality_certificate, ldet, leading_coefficient_value,
                     oracle_ring, preadjoint, preadjoint_via_minors, rdet,
                     sdet, sdet_first_form)
+from lienil.parallel import map_reduce_sum
 from lienil.supermatrix import example_5_1, sample_supermatrix, shape
 
 
@@ -65,6 +67,113 @@ def test_preadjoint_minor_identity():
     for seed in range(5):
         _, A = grassmann_matrix(5, 3, seed)
         assert preadjoint(A) == preadjoint_via_minors(A)
+
+
+def sparse_matrix(E, n, seed, density=0.4):
+    """A unit diagonal (a scalar plus a monomial); each off-diagonal entry
+    is one monomial with probability density, else zero.  Coefficients are
+    small integers times powers of the field's root of unity."""
+    rng = random.Random(seed)
+    e = E.field.primitive_root(E.field.order)
+
+    def coeff():
+        return e ** rng.randrange(3) * rng.choice((-2, -1, 1, 2))
+
+    def entry(i, j):
+        if i == j:
+            return E.element({rng.randrange(1, E.dim): coeff(), 0: coeff()})
+        if rng.random() < density:
+            return E.element({rng.randrange(E.dim): coeff()})
+        return E.zero
+
+    return Matrix(E, [[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def zero_pattern_cases():
+    """Matrices whose zeros the permutation sums skip, named by their ids."""
+    E = GrassmannAlgebra(4, QQ)
+    _, A = grassmann_matrix(4, 4, 21)
+    rows = [list(row) for row in A.rows]
+    zero_row = [row[:] for row in rows]
+    zero_row[2] = [E.zero] * 4
+    zero_col = [[E.zero if j == 1 else x for j, x in enumerate(row)]
+                for row in rows]
+    perm = (2, 0, 3, 1)
+    pattern = [[rows[i][j] + 1 if j == perm[i] else E.zero for j in range(4)]
+               for i in range(4)]
+    cases = [pytest.param(Matrix(E, zero_row), id="zero_row"),
+             pytest.param(Matrix(E, zero_col), id="zero_column"),
+             pytest.param(Matrix(E, [[E.zero] * 3 for _ in range(3)]),
+                          id="zero_matrix"),
+             pytest.param(Matrix(E, pattern), id="permutation_pattern"),
+             pytest.param(Matrix(E, [[rows[0][0]]]), id="n1"),
+             pytest.param(Matrix(E, [[E.zero]]), id="n1_zero")]
+    for order in (1, 3):
+        E = GrassmannAlgebra(4, CyclotomicField(order))
+        for n in (3, 4):
+            cases.append(pytest.param(sparse_matrix(E, n, 100 * order + n),
+                                      id=f"sparse_n{n}_zeta{order}"))
+    return cases
+
+
+@pytest.mark.parametrize("A", zero_pattern_cases())
+def test_zero_skip_matches_oracles(A):
+    assert sdet(A) == sdet_first_form(A)
+    assert preadjoint(A) == preadjoint_via_minors(A)
+
+
+def test_zero_skip_commutative():
+    """With zero entries over the oracle ring, sdet = n! det and
+    A* = (n-1)! adj still hold."""
+    for n, zeros in ((3, ((0, 1), (2, 2))),
+                     (4, ((0, 0), (1, 3), (3, 1), (2, 0)))):
+        R, A = symbolic_matrix(n)
+        rows = [list(row) for row in A.rows]
+        for i, j in zeros:
+            rows[i][j] = R.zero
+        A = Matrix(R, rows)
+        nfact = 1
+        for i in range(2, n + 1):
+            nfact *= i
+        assert sdet(A) == classical_det(A) * nfact
+        assert preadjoint(A) == classical_adj(A).scalar_mul(nfact // n)
+
+
+def test_zero_skip_multiplies_only_nonzero_terms(monkeypatch):
+    """On a 4x4 diagonal matrix of units only the 24 pairs alpha = beta
+    meet no zero entry; each costs 3 ring multiplies (2304 without the
+    skip).  The preadjoint's nonzero terms are its 6 pairs per diagonal
+    entry, at 2 multiplies each."""
+    E = GrassmannAlgebra(4, QQ)
+    A = Matrix(E, [[E.element({0: i + 2, 1 << i: 1}) if i == j else E.zero
+                    for j in range(4)] for i in range(4)])
+    calls = []
+    mul = GrassmannElement.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(GrassmannElement, "__mul__", counted)
+    value = sdet(A)
+    assert len(calls) == 72
+    del calls[:]
+    adj = preadjoint(A)
+    assert len(calls) == 48
+    monkeypatch.undo()
+    assert value == sdet_first_form(A) and adj == preadjoint_via_minors(A)
+
+
+def test_map_reduce_sum_adds_nonzero_terms_in_order():
+    added = []
+
+    class Acc:
+        def __add__(self, other):
+            added.append(other)
+            return self
+
+    map_reduce_sum([3, 0, 1, 0, 0, 2], lambda x: x, Acc())
+    assert added == [3, 1, 2]
 
 
 def test_trace_symmetry():

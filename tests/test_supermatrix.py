@@ -11,7 +11,8 @@ from lienil import (CyclotomicField, GrassmannAlgebra, Matrix, QQ,
                     is_supermatrix, p_matrix, sample_supermatrix, shape,
                     verify_embedding)
 from lienil.supermatrix import (SuperMatrixError, example_5_1, example_5_2,
-                                example_5_3, scalar_regime_check)
+                                example_5_3, root_embedding,
+                                scalar_regime_check)
 
 
 @pytest.fixture
@@ -85,6 +86,29 @@ def test_embed_matches_defining_sum():
                             t_k = t_k * spec.T.entry(j, i)
                         x = x + t_k * spec.delta.iterate(k, r)
                     assert A.entry(i, j) == x * Fraction(1, n), (spec, i, j)
+
+
+def test_root_embedding_only_where_it_embeds():
+    """A root order other than n, or delta^n moving a generator, is refused
+    before any work; where both hold, 1 maps to I and products to
+    products."""
+    E = GrassmannAlgebra(2, CyclotomicField(3))
+    eps = epsilon(E, validate=False)
+    for r, n, root in ((E.one, 3, 2), (E.one, 3, 0), (E.generator(1), 3, 3),
+                       (E.one, 2, 3)):
+        with pytest.raises(SuperMatrixError):
+            root_embedding(r, eps, n, root)
+    rng = random.Random(5)
+    for spec in (example_5_1(2, 1, 3), example_5_2(3, 3), example_5_2(4, 2)):
+        E, n = spec.ring, spec.n
+        for root in (0, n):
+            assert root_embedding(E.one, spec.delta, n, root) == \
+                Matrix.identity(E, n)
+        for _ in range(3):
+            a, b = E.random_element(rng), E.random_element(rng)
+            assert (root_embedding(a, spec.delta, n)
+                    * root_embedding(b, spec.delta, n)
+                    == root_embedding(a * b, spec.delta, n))
 
 
 def test_embedding_laws(spec_eps_p):
