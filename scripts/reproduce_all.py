@@ -2,7 +2,7 @@
 """Run the full acceptance suite (criteria 1-11) and print the canonical
 report to stdout; per-criterion timings go to stderr.
 
-Usage: python3 scripts/reproduce_all.py [--slow] [--report FILE]
+Usage: python3 scripts/reproduce_all.py [--report FILE]
 """
 
 import sys

@@ -137,7 +137,7 @@ def cmd_ch_check(doc, args):
 
 def cmd_embed(doc, args):
     delta, r = doc.delta(), doc.element()
-    A = root_embedding(r, delta, args.n, args.root)
+    A = root_embedding(r, delta, args.n)
     return {"matrix": matrix_to_json(A)}, EXIT_OK
 
 
@@ -179,7 +179,7 @@ def cmd_reproduce_all(doc, args):
     """The canonical report is the payload, or goes to --report; the
     per-criterion timings go to stderr."""
     from . import acceptance
-    report, timings = acceptance.reproduce_all(slow=args.slow)
+    report, timings = acceptance.reproduce_all()
     results = report["results"]
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -224,9 +224,7 @@ def build_parser():
     add("charpoly", cmd_charpoly, "characteristic polynomial", k, side)
     add("ch-check", cmd_ch_check, "Cayley-Hamilton residual", k, side)
     add("embed", cmd_embed, "embed a ring element as a supermatrix",
-        opt("--n", type=int, required=True),
-        opt("--root", type=int, default=0,
-            help="root-of-unity order: n, the default"))
+        opt("--n", type=int, required=True))
     add("conditions", cmd_conditions, "embedding condition report")
     add("membership", cmd_membership, "supermatrix membership check")
     add("sample", cmd_sample, "sample a random member",
@@ -241,8 +239,6 @@ def build_parser():
         opt("--g", type=int, default=4), reads_file=False)
     add("reproduce-all", cmd_reproduce_all,
         "run the full acceptance suite",
-        opt("--slow", action="store_true",
-            help="include the degree-9 Cayley-Hamilton instance"),
         opt("--report", default=None,
             help="write the canonical report to this file"),
         reads_file=False)

@@ -194,15 +194,13 @@ class Endomorphism:
             x = self(x)
         return x
 
-    def is_identity_on(self, elems):
-        return all(self(x) == x for x in elems)
+    def power_is_identity(self, n):
+        """True iff delta^n is the identity on R.  delta is a K-linear ring
+        map, so it is enough that delta^n fixes each generator."""
+        return all(self.iterate(n, x) == x for x in self.ring.generating_set())
 
     def __repr__(self):
         return f"Endomorphism({self.name!r}, {self.ring!r})"
-
-
-def identity_endomorphism(ring):
-    return Endomorphism("id", ring, lambda x: x, validate=False)
 
 
 def fixed_ring_member(delta, x):
@@ -311,14 +309,6 @@ class RPolynomial(RingElement):
 
     def _key(self):
         return self.coeffs
-
-    def subst_right(self, x):
-        """Sum x^i * c_i with the coefficients on the right."""
-        return substitute(self.coeffs, x, x.ring.one, "right")
-
-    def subst_left(self, x):
-        """Sum c_i * x^i with the coefficients on the left."""
-        return substitute(self.coeffs, x, x.ring.one, "left")
 
     def __repr__(self):
         return f"RPolynomial({list(self.coeffs)!r})"

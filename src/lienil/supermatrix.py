@@ -173,17 +173,6 @@ class EmbeddingConditionsReport:
         }}
 
 
-def _delta_power_is_identity(spec):
-    ring = spec.ring
-    elems = list(ring.generating_set())
-    if isinstance(ring, GrassmannAlgebra) and ring.g <= 12:
-        elems = [ring.basis_element(m) for m in ring.basis_masks()]
-    for x in elems:
-        if spec.delta.iterate(spec.n, x) != x:
-            return False
-    return True
-
-
 def check_embedding_conditions(spec):
     ring = spec.ring
     n = spec.n
@@ -225,7 +214,7 @@ def check_embedding_conditions(spec):
     inv_sums_ok = sums_vanish([powers(inv) for inv in inverses])
 
     t_fixed = all(fixed_ring_member(spec.delta, t) for t in col)
-    delta_ord = _delta_power_is_identity(spec)
+    delta_ord = spec.delta.power_is_identity(n)
 
     # Remark: with equal n-th powers of the first column, the positive power
     # sum condition makes the inverse one redundant; assert the implication.
@@ -302,20 +291,15 @@ def p_matrix(ring, u, n=2):
     return transitive_from_units(ring, units)
 
 
-def root_embedding(r, delta, n, root=0):
+def root_embedding(r, delta, n):
     """embed(r) in M_n(R, delta, P^(e)) for e a primitive n-th root of unity.
-    ``root``, the order of e, defaults to n; any other order, or a delta
-    whose n-th power moves a generator of R, gives no embedding and is
-    refused before any work.  Each entry is a sum of n products, so n is
-    capped at MAX_ORDER."""
+    A delta with delta^n != id gives no embedding and is refused before any
+    work.  Each entry is a sum of n products, so n is capped at MAX_ORDER."""
     if n > MAX_ORDER:
         raise OrderCapError(f"embedding size {n} exceeds the cap {MAX_ORDER}")
     ring = r.ring
-    e = ring.field.primitive_root(root or n)
-    if root and root != n:
-        raise SuperMatrixError(f"a root of order {root} gives no embedding "
-                               f"at n = {n}: the order must be n")
-    if any(delta.iterate(n, x) != x for x in ring.generating_set()):
+    e = ring.field.primitive_root(n)
+    if not delta.power_is_identity(n):
         raise SuperMatrixError(f"{delta.name}^{n} is not the identity, so "
                                f"there is no embedding at n = {n}")
     return embed(SuperAlgebraSpec(ring, delta, p_matrix(ring, e, n=n)), r)

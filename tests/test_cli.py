@@ -162,7 +162,7 @@ def test_embed_and_integrality(tmp_path, capsys):
     src = write(tmp_path, "rho.json", {
         "ring": {"type": "grassmann", "g": 2, "root_order": 70},
         "delta": "rho_e:70", "element": {"coeffs": {"1": "1"}}})
-    code, doc = run(capsys, ["embed", src, "--n", "70", "--root", "70"])
+    code, doc = run(capsys, ["embed", src, "--n", "70"])
     assert code == 0 and doc["matrix"]["n"] == 70
     # rho(v1) = e v1, so the image of v1 is v1 times a cyclic shift
     entries = doc["matrix"]["entries"]
@@ -176,6 +176,18 @@ def test_example_command(capsys):
     assert code == 0
     assert doc["spec"]["n"] == 2
     assert len(doc["shape"]) == 2 and doc["shape"][0][0]["dim"] == 2
+
+
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    """The embedding's root is fixed by n, and the degree-9 instance is a
+    test, so neither ``embed --root`` nor ``reproduce-all --slow`` parses."""
+    src = write(tmp_path, "e.json", ELEM)
+    for argv in (["embed", src, "--n", "3", "--root", "3"],
+                 ["reproduce-all", "--slow"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
@@ -220,16 +232,14 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
         "ring": GRING, "delta": "epsilon", "element": "1"})
     assert main(["embed", src, "--n", "0"]) == 2
     assert "error" in json.loads(capsys.readouterr().err)
-    # no embedding: the root order is not n, or delta^n is not the identity
+    # no embedding: delta^n is not the identity
     rho70 = write(tmp_path, "rho70.json", {
         "ring": {"type": "grassmann", "g": 2, "root_order": 70},
         "delta": "rho_e:70", "element": {"coeffs": {"1": "1"}}})
     eps3 = write(tmp_path, "eps3.json", {
         "ring": dict(GRING, root_order=3), "delta": "epsilon",
         "element": "1"})
-    for argv in (["embed", src, "--n", "3", "--root", "2"],
-                 ["embed", rho70, "--n", "2", "--root", "70"],
-                 ["embed", rho70, "--n", "2"],
+    for argv in (["embed", rho70, "--n", "2"],
                  ["embed", eps3, "--n", "3"],
                  ["integrality", eps3, "--n", "3", "--k", "1"]):
         assert main(argv) == 2, argv
@@ -286,8 +296,7 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
     # an unwritable --report path is bad input too, not a traceback
     import lienil.acceptance as acceptance
     monkeypatch.setattr(acceptance, "reproduce_all",
-                        lambda slow=False: ({"results": [],
-                                             "all_passed": True}, {}))
+                        lambda: ({"results": [], "all_passed": True}, {}))
     report = str(tmp_path / "absent" / "report.json")
     assert main(["reproduce-all", "--report", report]) == 2
     assert "error" in json.loads(capsys.readouterr().err)
@@ -317,9 +326,7 @@ def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
         "ring": GRING, "matrix": PAIR, "cuts": [1, 100000000]})
     for argv in (["sdet", src],
                  ["example", "5.2", "--n", str(too_big), "--g", "2"],
-                 ["embed", elem, "--n", "2", "--root", str(too_big)],
                  ["embed", elem, "--n", str(too_big)],
-                 ["embed", elem, "--n", str(too_big), "--root", "1"],
                  ["charpoly", small, "--k", "10"],
                  ["charpoly", small, "--k", "1000000000"],
                  ["ch-check", small, "--k", "10", "--side", "left"],
@@ -370,8 +377,8 @@ def test_pretty_output_is_the_same_json(tmp_path, capsys, monkeypatch):
     results = [{"criterion": 1, "name": "transitivity", "passed": True,
                 "details": {"examples": 3}}]
     monkeypatch.setattr(acceptance, "reproduce_all",
-                        lambda slow=False: ({"results": results,
-                                             "all_passed": True}, {"1": 0.5}))
+                        lambda: ({"results": results, "all_passed": True},
+                                 {"1": 0.5}))
     commands = [before + [write(tmp_path, f"doc{i}.json", doc)] + after
                 for i, (before, after, doc) in enumerate(FILE_COMMANDS)]
     commands += [["example", "5.3", "--n", "3", "--g", "2"], ["reproduce-all"]]
