@@ -22,9 +22,14 @@ after the imports, so that no cache filled by an earlier call helps; the
 median of three such runs is printed.
 
 The cold-start section prints the median wall milliseconds of a fresh
-interpreter for ``python -c pass``, and for ``python -m lienil.cli sdet``
-on a 2x2 Grassmann document and on a 2x2 oracle document; the three runs
-alternate, so drift in the machine's load reaches all of them alike.
+interpreter for ``python -c pass`` and for four ``python -m lienil.cli``
+requests: ``sdet`` on a 2x2 Grassmann document and on a 2x2 oracle
+document, ``example 5.2 --n 3 --g 4``, and ``sdet`` on a missing file
+(exit 2).  The runs alternate, so drift in the machine's load reaches all
+of them alike.  Next to each request it prints how many ``lienil.*``
+modules the request imports, counted in one more run under
+``-X importtime``; ``lienil.cli`` itself runs as ``__main__`` and is not
+counted.
 
 Usage: python3 scripts/bench.py [--label NAME] [--out FILE]
 
@@ -199,24 +204,47 @@ def oracle_cases():
     return out
 
 
+def _lienil_imports(argv, env):
+    """The number of ``lienil.*`` modules that ``python -m lienil.cli argv``
+    imports, from its ``-X importtime`` report."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "lienil.cli"] + argv, env=env, capture_output=True,
+                          text=True)
+    names = [line.rsplit("|", 1)[1].strip() for line in
+             proc.stderr.splitlines() if line.startswith("import time:")]
+    return sum(name.startswith("lienil.") for name in names)
+
+
 def cold_start_cases():
-    """Median wall milliseconds of fresh interpreters (see the docstring)."""
+    """Median wall milliseconds of fresh interpreters, and the lienil
+    modules each request imports (see the docstring)."""
     env = dict(os.environ, PYTHONPATH=SRC)
     with tempfile.TemporaryDirectory() as tmp:
-        commands = {"python_pass": [sys.executable, "-c", "pass"]}
+        requests = {}                     # name -> (argv, exit code)
         for name, doc in COLD_DOCS.items():
             path = os.path.join(tmp, name + ".json")
             Path(path).write_text(json.dumps(doc))
-            commands[name] = [sys.executable, "-m", "lienil.cli", "sdet", path]
+            requests[name] = (["sdet", path], 0)
+        requests["example_5_2"] = ("example 5.2 --n 3 --g 4".split(), 0)
+        missing = os.path.join(tmp, "none.json")
+        requests["missing_file"] = (["sdet", missing], 2)
+        commands = {"python_pass": ([sys.executable, "-c", "pass"], 0)}
+        for name, (argv, code) in requests.items():
+            commands[name] = ([sys.executable, "-m", "lienil.cli"] + argv,
+                              code)
         walls = {name: [] for name in commands}
         for _ in range(COLD_REPEATS):
-            for name, cmd in commands.items():
+            for name, (cmd, code) in commands.items():
                 t0 = time.perf_counter()
-                subprocess.run(cmd, env=env, check=True,
-                               stdout=subprocess.DEVNULL)
+                proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.DEVNULL)
                 walls[name].append(time.perf_counter() - t0)
-    return {f"cold_{name}": statistics.median(w) * 1e3
-            for name, w in walls.items()}
+                if proc.returncode != code:
+                    raise RuntimeError(f"{name}: exit {proc.returncode}")
+        modules = {f"cold_{name}": _lienil_imports(argv, env)
+                   for name, (argv, _) in requests.items()}
+    return ({f"cold_{name}": statistics.median(w) * 1e3
+             for name, w in walls.items()}, modules)
 
 
 def main(argv=None):
@@ -240,9 +268,11 @@ def main(argv=None):
     oracle = oracle_cases()
     for name, value in oracle.items():
         print(f"{name:<24} {value:9.3f} {name.rsplit('_', 1)[1]}")
-    cold = cold_start_cases()
+    cold, modules = cold_start_cases()
     for name, value in cold.items():
-        print(f"{name:<24} {value:9.1f} ms")
+        count = (f"  {modules[name]} lienil modules" if name in modules
+                 else "")
+        print(f"{name:<24} {value:9.1f} ms{count}")
 
     if args.out:
         path = Path(args.out)
@@ -254,7 +284,8 @@ def main(argv=None):
             "us_per_op": {k: round(v, 3) for k, v in us.items()},
             "dets_ms": {k: round(v, 1) for k, v in det_ms.items()},
             "oracle": {k: round(v, 3) for k, v in oracle.items()},
-            "cold_start_ms": {k: round(v, 1) for k, v in cold.items()}}
+            "cold_start_ms": {k: round(v, 1) for k, v in cold.items()},
+            "cold_lienil_modules": modules}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

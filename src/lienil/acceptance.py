@@ -14,7 +14,7 @@ import time
 from . import dets
 from .grassmann import (ComponentBasis, GrassmannAlgebra, epsilon,
                         graded_component_basis)
-from .matrices import (Matrix, TransitiveMatrix, blow_up, factor_transitive,
+from .matrices import (Matrix, MatrixRing, blow_up, factor_transitive,
                        hadamard, is_transitive, matrix_units_counterexample,
                        theta, theta_inverse, transitive_from_units,
                        transitive_square)
@@ -79,12 +79,9 @@ def criterion_2_theta():
     ]
     pairs_per_config = 100
     for name, ring, T in configs:
-        n = T.n
+        matrices = MatrixRing(ring, T.n)
         for _ in range(pairs_per_config):
-            A = Matrix(ring, [[ring.random_element(rng) for _ in range(n)]
-                              for _ in range(n)])
-            B = Matrix(ring, [[ring.random_element(rng) for _ in range(n)]
-                              for _ in range(n)])
+            A, B = matrices.random_element(rng), matrices.random_element(rng)
             if theta(T, A * B) != theta(T, A) * theta(T, B):
                 return False, {"failure": f"multiplicativity on {name}"}
             if theta_inverse(T, theta(T, A)) != A:
@@ -128,8 +125,7 @@ def criterion_4_minor_identity():
     per_n = {2: 0, 3: 0, 4: 0}
     while count < 50:
         n = rng.choice([2, 3, 4])
-        A = Matrix(E, [[E.random_element(rng) for _ in range(n)]
-                       for _ in range(n)])
+        A = MatrixRing(E, n).random_element(rng)
         if dets.preadjoint(A) != dets.preadjoint_via_minors(A):
             return False, {"failure": f"minor identity at n={n}"}
         per_n[n] += 1

@@ -17,7 +17,6 @@ import json
 import random
 import sys
 
-from . import dets
 from .matrices import (TransitiveMatrix, blow_up, factor_transitive,
                        is_transitive, theta, transitive_from_units)
 from .rings import CostCapError, RingError
@@ -26,8 +25,6 @@ from .serialize import (SerializationError, canonical_report,
                         delta_from_json, element_from_json, element_to_json,
                         field, matrix_from_json, matrix_to_json,
                         ring_from_json, spec_from_json, spec_to_json)
-from .supermatrix import (check_embedding_conditions, example_algebra,
-                          is_supermatrix, root_embedding, sample_supermatrix)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -108,26 +105,31 @@ def cmd_theta(doc, args):
 
 
 def cmd_sdet(doc, args):
+    from . import dets
     return {"sdet": element_to_json(dets.sdet(doc.matrix()))}, EXIT_OK
 
 
 def cmd_preadjoint(doc, args):
+    from . import dets
     return {"matrix": matrix_to_json(dets.preadjoint(doc.matrix()))}, EXIT_OK
 
 
 def cmd_rdet(doc, args):
+    from . import dets
     fn = dets.rdet if args.side == "right" else dets.ldet
     return {f"{args.side[0]}det": element_to_json(fn(doc.matrix(), args.k)),
             "k": args.k}, EXIT_OK
 
 
 def cmd_charpoly(doc, args):
+    from . import dets
     p = dets.charpoly(doc.matrix(), args.k, side=args.side)
     return {"side": p.side, "k": p.k,
             "coeffs": [element_to_json(c) for c in p.coeffs]}, EXIT_OK
 
 
 def cmd_ch_check(doc, args):
+    from . import dets
     A = doc.matrix()
     res = dets.cayley_hamilton_check(A, args.k, side=args.side)
     zero = not any(e for row in res.rows for e in row)
@@ -136,26 +138,31 @@ def cmd_ch_check(doc, args):
 
 
 def cmd_embed(doc, args):
+    from .supermatrix import root_embedding
     delta, r = doc.delta(), doc.element()
     A = root_embedding(r, delta, args.n)
     return {"matrix": matrix_to_json(A)}, EXIT_OK
 
 
 def cmd_conditions(doc, args):
+    from .supermatrix import check_embedding_conditions
     return check_embedding_conditions(doc.spec()).as_dict(), EXIT_OK
 
 
 def cmd_membership(doc, args):
+    from .supermatrix import is_supermatrix
     ok = is_supermatrix(doc.spec(), doc.matrix())
     return {"member": ok}, _verdict(ok)
 
 
 def cmd_sample(doc, args):
+    from .supermatrix import sample_supermatrix
     A = sample_supermatrix(doc.spec(), random.Random(args.seed))
     return {"matrix": matrix_to_json(A), "seed": args.seed}, EXIT_OK
 
 
 def cmd_integrality(doc, args):
+    from . import dets
     delta, r = doc.delta(), doc.element()
     cert = dets.integrality_certificate(r, delta, args.n, args.k)
     ok = cert.right_holds and cert.left_holds and cert.coefficients_fixed
@@ -168,6 +175,7 @@ def cmd_integrality(doc, args):
 
 
 def cmd_example(doc, args):
+    from .supermatrix import example_algebra
     spec, grid = example_algebra(args.name, n=args.n, g=args.g, d=args.d)
     return {"spec": spec_to_json(spec),
             "shape": [[{"dim": cb.dim,

@@ -12,14 +12,12 @@ terms keep their order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 
 from .matrices import Matrix, MatrixError
 from .parallel import map_reduce_sum
 from .rings import (CostCapError, PolynomialRing, RingError,
                     fixed_ring_member, substitute)
-from .supermatrix import root_embedding
 
 MAX_N = 5                 # the (n!)^2 enumerations stop here
 # An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
@@ -144,11 +142,11 @@ def preadjoint_via_minors(A):
                           for s in range(1, n + 1)] for r in range(1, n + 1)])
 
 
-@dataclass
 class AdjointSequence:
-    side: str                 # "right" | "left"
-    adjoints: list            # P_1..P_k (or Q_1..Q_k)
-    products: list            # A P_1...P_j (resp. Q_j...Q_1 A) for j = 1..k
+    def __init__(self, side, adjoints, products):
+        self.side = side            # "right" | "left"
+        self.adjoints = adjoints    # P_1..P_k (or Q_1..Q_k)
+        self.products = products    # A P_1...P_j (resp. Q_j...Q_1 A), j=1..k
 
 
 def adjoint_sequence(A, k, side="right"):
@@ -185,15 +183,15 @@ def leading_coefficient_value(n, k):
     return n * math.factorial(n - 1) ** sum(n ** i for i in range(k))
 
 
-@dataclass
 class CharPoly:
     """Characteristic polynomial with coefficients in the entry ring."""
 
-    ring: object              # the entry ring R
-    coeffs: list              # lambda_0 .. lambda_{n^k}, elements of R
-    side: str
-    k: int
-    n: int
+    def __init__(self, ring, coeffs, side, k, n):
+        self.ring = ring              # the entry ring R
+        self.coeffs = coeffs          # lambda_0 .. lambda_{n^k}, elements of R
+        self.side = side
+        self.k = k
+        self.n = n
 
     @property
     def degree(self):
@@ -232,18 +230,19 @@ def cayley_hamilton_check(A, k, side="right"):
     return charpoly(A, k, side=side).subst_matrix(A)
 
 
-@dataclass
 class IntegralityCertificate:
     """Monic degree-n^k relations for r over the fixed ring: the right one
     is c'_0 + r c'_1 + ... + r^(N-1) c'_{N-1} + r^N = 0, the left one has
     the coefficients on the left."""
 
-    degree: int
-    right_coeffs: list        # c'_0 .. c'_{N-1}
-    left_coeffs: list         # c''_0 .. c''_{N-1}
-    right_residual: object
-    left_residual: object
-    coefficients_fixed: bool
+    def __init__(self, degree, right_coeffs, left_coeffs, right_residual,
+                 left_residual, coefficients_fixed):
+        self.degree = degree
+        self.right_coeffs = right_coeffs      # c'_0 .. c'_{N-1}
+        self.left_coeffs = left_coeffs        # c''_0 .. c''_{N-1}
+        self.right_residual = right_residual
+        self.left_residual = left_residual
+        self.coefficients_fixed = coefficients_fixed
 
     @property
     def right_holds(self):
@@ -258,6 +257,7 @@ def integrality_certificate(r, delta, n, k):
     """Thm-style certificate: embed r via the root-of-unity transitive
     matrix, take the k-th characteristic polynomials of the image, and
     normalize by the invertible integer leading coefficient."""
+    from .supermatrix import root_embedding
     _require_chain(n, k)
     ring = r.ring
     A = root_embedding(r, delta, n)

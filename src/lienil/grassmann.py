@@ -8,8 +8,6 @@ solver that computes bases of {x : delta(x) = t*x} by exact elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .rings import (SCALARS, ContextMismatchError, CostCapError,
                     Endomorphism, Ring, RingElement, RingError)
@@ -170,10 +168,6 @@ class GrassmannElement(RingElement):
         self.ring = ring
         self.coeffs = coeffs
 
-    @property
-    def algebra(self):
-        return self.ring
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -322,17 +316,15 @@ def endomorphism_from_generator_images(algebra, images):
 # Component bases and the constraint solver
 # --------------------------------------------------------------------------
 
-@dataclass
 class ComponentBasis:
     """A K-subspace of a Grassmann algebra given by a linearly independent
     spanning list of elements."""
 
-    algebra: GrassmannAlgebra
-    basis: list
-
-    def __post_init__(self):
-        coords = [self.algebra.coordinates(b) for b in self.basis]
-        if coords and linalg.rank(coords, self.algebra.dim) != len(coords):
+    def __init__(self, algebra, basis):
+        self.algebra = algebra
+        self.basis = basis
+        coords = self._coords()
+        if coords and linalg.rank(coords, algebra.dim) != len(coords):
             raise RingError("basis elements are linearly dependent")
 
     @property

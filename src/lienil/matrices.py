@@ -254,10 +254,8 @@ def transitive_square(T):
 
 
 def _check_central(T):
-    for row in T.matrix.rows:
-        for e in row:
-            if not T.ring.is_central(e):
-                raise MatrixError("Theta_T needs central entries in T")
+    if not all(T.ring.is_central(e) for row in T.matrix.rows for e in row):
+        raise MatrixError("Theta_T needs central entries in T")
 
 
 def theta(T, A):

@@ -19,7 +19,6 @@ from .matrices import Matrix, TransitiveMatrix
 from .rings import (CostCapError, OracleElement, OracleRing, RingError,
                     RPolynomial)
 from .scalars import Cyc, CyclotomicField, parse_scalar
-from .supermatrix import SuperAlgebraSpec
 
 
 class SerializationError(RingError):
@@ -209,6 +208,7 @@ def field(doc, key, kind=object):
 
 
 def spec_from_json(doc, ring=None):     # None: decode doc["ring"]
+    from .supermatrix import SuperAlgebraSpec
     if ring is None:
         ring = ring_from_json(field(doc, "ring"))
     delta = delta_from_json(ring, field(doc, "delta"))

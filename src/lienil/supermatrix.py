@@ -4,15 +4,13 @@ algebras over the Grassmann algebra."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from operator import mul
 
-from .grassmann import (ComponentBasis, GrassmannAlgebra, epsilon, rho, sigma,
-                        solve_constraint)
-from .matrices import Matrix, MatrixError, TransitiveMatrix, blow_up, transitive_from_units
+from .grassmann import GrassmannAlgebra, epsilon, rho, sigma, solve_constraint
+from .matrices import Matrix, TransitiveMatrix, blow_up, transitive_from_units
 from .rings import CostCapError, RingError, fixed_ring_member
 from .scalars import MAX_ORDER, CyclotomicField, OrderCapError
 
@@ -35,10 +33,8 @@ class SuperAlgebraSpec:
             raise SuperMatrixError("T must be a certified TransitiveMatrix")
         if T.ring != ring or delta.ring != ring:
             raise SuperMatrixError("ring, delta and T must share a context")
-        for row in T.matrix.rows:
-            for e in row:
-                if not ring.is_central(e):
-                    raise SuperMatrixError("T has a non-central entry")
+        if not all(ring.is_central(e) for row in T.matrix.rows for e in row):
+            raise SuperMatrixError("T has a non-central entry")
         self.ring = ring
         self.delta = delta
         self.T = T
@@ -135,21 +131,15 @@ def embed(spec, r):
                          for i in range(1, n + 1)])
 
 
-@dataclass
 class EmbeddingConditionsReport:
-    """Exact verdicts for the hypotheses of the three embedding regimes.
-    ``one_minus_t_nonzero_divisor`` is None when the context cannot decide."""
+    """Exact verdicts for the hypotheses of the three embedding regimes, one
+    attribute per keyword that ``check_embedding_conditions`` passes, and
+    ``notes``.  ``one_minus_t_nonzero_divisor`` is None when the context
+    cannot decide."""
 
-    first_column_central_units: bool
-    has_inverse_of_n: bool
-    t_power_n_is_one: bool
-    one_minus_t_nonzero_divisor: bool | None
-    power_sums_vanish: bool
-    inverse_power_sums_vanish: bool
-    t_in_fixed_ring: bool
-    delta_order_n: bool
-    inverse_sum_condition_redundant: bool
-    notes: list = dc_field(default_factory=list)
+    def __init__(self, notes=None, **verdicts):
+        vars(self).update(verdicts)
+        self.notes = [] if notes is None else notes
 
     @property
     def regime_scalar(self):
@@ -166,7 +156,7 @@ class EmbeddingConditionsReport:
                 and self.delta_order_n)
 
     def as_dict(self):
-        return {**asdict(self), "regimes": {
+        return {**vars(self), "regimes": {
             "scalar": self.regime_scalar,
             "ring_embedding": self.regime_ring_embedding,
             "supermatrix_embedding": self.regime_supermatrix_embedding,
@@ -241,10 +231,10 @@ def check_embedding_conditions(spec):
     )
 
 
-@dataclass
 class EmbeddingVerdict:
-    ok: bool
-    failures: list
+    def __init__(self, ok, failures):
+        self.ok = ok
+        self.failures = failures
 
     def __bool__(self):
         return self.ok

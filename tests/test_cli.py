@@ -148,6 +148,40 @@ def test_membership_sample_conditions(tmp_path, capsys):
     assert code == 0 and doc["t_power_n_is_one"] is True
 
 
+def test_conditions_output_bytes(tmp_path, capsys):
+    """The condition report of M_2(E, epsilon, P), byte for byte, compact
+    and under --pretty."""
+    src = write(tmp_path, "spec.json", SPEC)
+    assert main(["conditions", src]) == 0
+    assert capsys.readouterr().out == (
+        '{"delta_order_n":true,"first_column_central_units":true,'
+        '"has_inverse_of_n":true,"inverse_power_sums_vanish":true,'
+        '"inverse_sum_condition_redundant":true,"notes":[],'
+        '"one_minus_t_nonzero_divisor":true,"power_sums_vanish":true,'
+        '"regimes":{"ring_embedding":true,"scalar":true,'
+        '"supermatrix_embedding":true},"t_in_fixed_ring":true,'
+        '"t_power_n_is_one":true}\n')
+    assert main(["conditions", src, "--pretty"]) == 0
+    assert capsys.readouterr().out == """{
+  "delta_order_n": true,
+  "first_column_central_units": true,
+  "has_inverse_of_n": true,
+  "inverse_power_sums_vanish": true,
+  "inverse_sum_condition_redundant": true,
+  "notes": [],
+  "one_minus_t_nonzero_divisor": true,
+  "power_sums_vanish": true,
+  "regimes": {
+    "ring_embedding": true,
+    "scalar": true,
+    "supermatrix_embedding": true
+  },
+  "t_in_fixed_ring": true,
+  "t_power_n_is_one": true
+}
+"""
+
+
 def test_embed_and_integrality(tmp_path, capsys):
     src = write(tmp_path, "e.json", {
         "ring": GRING, "delta": "epsilon",
@@ -465,6 +499,17 @@ def test_fuzzed_documents_exit_cleanly(command, data, monkeypatch):
         assert "error" in json.loads(err.getvalue())
 
 
+def fresh(script):
+    """stdout of ``script`` run in a fresh interpreter that imports this
+    lienil; the script must exit 0."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lienil.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
 def test_no_request_loads_sympy(tmp_path):
     """In a fresh interpreter neither a Grassmann nor an oracle request, nor
     the acceptance suite's import, loads sympy, and the oracle requests
@@ -482,17 +527,40 @@ def test_no_request_loads_sympy(tmp_path):
         f"assert lienil.cli.main(['preadjoint', {oracle!r}]) == 0\n"
         f"assert lienil.cli.main(['charpoly', {oracle!r}]) == 0\n"
         "assert 'sympy' not in sys.modules\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(lienil.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
     sdet = (b'2*a**4/3 - 4*a**3*b/3 + 2*a**2*b**2/3 - a**2*b + 2*a*b**2'
             b' + 4*a*b*c - 28*a - b**3 + 4*b*c - 28')
-    assert proc.stdout == (
+    assert fresh(script) == (
         b'{"sdet":{"coeffs":{"":"4"},"g":2}}\n'
         b'{"sdet":"' + sdet + b'"}\n'
         b'{"matrix":{"entries":[["a**2/3 - 2*a*b/3 + b**2/3","-2*a - 2"],'
         b'["b*c - 7","a**2 - 3*b/2"]],"n":2}}\n'
         b'{"coeffs":["' + sdet + b'","-8*a**2/3 + 4*a*b/3 - 2*b**2/3 + 3*b",'
         b'"2"],"k":1,"side":"right"}\n')
+
+
+def test_requests_load_only_the_modules_they_run(tmp_path):
+    """In a fresh interpreter ``import lienil`` loads none of its modules;
+    a Grassmann sdet loads neither lienil.supermatrix nor dataclasses or
+    inspect; an example loads no lienil.dets; and integrality, which needs
+    both, prints the bytes it printed when every module loaded eagerly."""
+    grassmann = write(tmp_path, "g.json", {"ring": GRING, "matrix": MIXED})
+    elem = write(tmp_path, "e.json", ELEM)
+    fresh("import sys, lienil\n"
+          "assert not [m for m in sys.modules if m.startswith('lienil.')]\n")
+    fresh("import sys, lienil.cli\n"
+          f"assert lienil.cli.main(['sdet', {grassmann!r}]) == 0\n"
+          "assert 'lienil.dets' in sys.modules\n"
+          "for m in ('lienil.supermatrix', 'dataclasses', 'inspect'):\n"
+          "    assert m not in sys.modules, m\n")
+    fresh("import sys, lienil.cli\n"
+          "assert lienil.cli.main(['example', '5.2', '--n', '3', '--g', '4'])"
+          " == 0\n"
+          "assert 'lienil.supermatrix' in sys.modules\n"
+          "assert 'lienil.dets' not in sys.modules\n")
+    zero = b'{"coeffs":{},"g":2}'
+    assert fresh("import lienil.cli\n"
+                 f"assert lienil.cli.main(['integrality', {elem!r}, '--n', "
+                 "'2', '--k', '2']) == 0\n") == (
+        b'{"coefficients_fixed":true,"degree":4,"left_coeffs":['
+        + b",".join([zero] * 4) + b'],"left_holds":true,"right_coeffs":['
+        + b",".join([zero] * 4) + b'],"right_holds":true}\n')

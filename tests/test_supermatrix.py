@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from lienil import (CyclotomicField, GrassmannAlgebra, Matrix, QQ,
-                    SuperAlgebraSpec, check_embedding_conditions,
-                    closure_check, embed, epsilon, graded_component_basis,
-                    is_supermatrix, p_matrix, sample_supermatrix, shape,
-                    verify_embedding)
+from lienil import (CyclotomicField, EmbeddingConditionsReport,
+                    GrassmannAlgebra, Matrix, QQ, SuperAlgebraSpec,
+                    check_embedding_conditions, closure_check, embed,
+                    epsilon, graded_component_basis, is_supermatrix,
+                    p_matrix, sample_supermatrix, shape, verify_embedding)
 from lienil.supermatrix import (SuperMatrixError, example_5_1, example_5_2,
                                 example_5_3, root_embedding,
                                 scalar_regime_check)
@@ -126,6 +126,24 @@ def test_embedding_conditions_for_root_of_unity():
     assert d["inverse_sum_condition_redundant"]
     assert report.regime_scalar and report.regime_ring_embedding
     assert report.regime_supermatrix_embedding
+
+
+def test_embedding_conditions_report_keys():
+    """as_dict holds the nine verdicts, the notes and the regimes; a report
+    built without notes gets its own empty list."""
+    verdicts = ["first_column_central_units", "has_inverse_of_n",
+                "t_power_n_is_one", "one_minus_t_nonzero_divisor",
+                "power_sums_vanish", "inverse_power_sums_vanish",
+                "t_in_fixed_ring", "delta_order_n",
+                "inverse_sum_condition_redundant"]
+    d = check_embedding_conditions(example_5_1(2, 1, 2)).as_dict()
+    assert sorted(d) == sorted(verdicts + ["notes", "regimes"])
+    assert d["notes"] == [] and set(d["regimes"]) == {
+        "scalar", "ring_embedding", "supermatrix_embedding"}
+    a, b = (EmbeddingConditionsReport(**dict.fromkeys(verdicts, True))
+            for _ in range(2))
+    a.notes.append("a")
+    assert b.notes == [] and a.as_dict()["notes"] == ["a"]
 
 
 def test_embedding_conditions_fail_for_hadamard_identity():
