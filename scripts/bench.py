@@ -13,6 +13,8 @@ The determinant section prints the milliseconds of ``sdet`` and
 over Q, at n = 3, 4, 5, and of ``sdet`` on a seeded sparse 5 x 5 matrix
 at g = 4 (a unit diagonal; each off-diagonal entry is one monomial with
 probability 0.4, else zero): the best of three calls in this interpreter.
+Next to each time it prints the Grassmann ring multiplies of one more
+call, counted by wrapping ``GrassmannElement.__mul__`` in this script.
 
 The oracle section prints the wall seconds of acceptance criterion 3
 (``sdet = n! det`` and ``A* = (n-1)! adj`` on symbolic n = 2, 3, 4) and
@@ -55,7 +57,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 
 from lienil import dets  # noqa: E402
-from lienil.grassmann import GrassmannAlgebra  # noqa: E402
+from lienil.grassmann import GrassmannAlgebra, GrassmannElement  # noqa: E402
 from lienil.matrices import Matrix  # noqa: E402
 from lienil.scalars import QQ, CyclotomicField  # noqa: E402
 
@@ -163,8 +165,27 @@ def _sparse_matrix(algebra, rng, n):
     return Matrix(algebra, [[entry(i, j) for j in range(n)] for i in range(n)])
 
 
+def _multiplies(fn, A):
+    """The number of Grassmann ring multiplies that fn(A) makes."""
+    count = 0
+    mul = GrassmannElement.__mul__
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return mul(a, b)
+
+    GrassmannElement.__mul__ = counted
+    try:
+        fn(A)
+    finally:
+        GrassmannElement.__mul__ = mul
+    return count
+
+
 def det_cases():
-    """Best-of-DET_REPEATS milliseconds of the permutation double sums."""
+    """Best-of-DET_REPEATS milliseconds of the permutation double sums, and
+    the ring multiplies of each."""
     algebra = GrassmannAlgebra(4, QQ)
     cases = []
     for n in DET_SIZES:
@@ -174,15 +195,17 @@ def det_cases():
         cases += [(f"{name}_n{n}", name, A) for name in ("sdet", "preadjoint")]
     sparse = _sparse_matrix(algebra, random.Random(3100 + SPARSE_N), SPARSE_N)
     cases.append((f"sdet_sparse_n{SPARSE_N}", "sdet", sparse))
-    out = {}
+    out, multiplies = {}, {}
     for label, name, A in cases:
+        fn = getattr(dets, name)
         best = float("inf")
         for _ in range(DET_REPEATS):
             t0 = time.perf_counter()
-            getattr(dets, name)(A)
+            fn(A)
             best = min(best, time.perf_counter() - t0)
         out[label] = best * 1e3
-    return out
+        multiplies[label] = _multiplies(fn, A)
+    return out, multiplies
 
 
 def oracle_cases():
@@ -262,9 +285,9 @@ def main(argv=None):
         us.update(grassmann_cases(g))
     for name, value in us.items():
         print(f"{name:<24} {value:9.2f} us/op")
-    det_ms = det_cases()
+    det_ms, det_muls = det_cases()
     for name, value in det_ms.items():
-        print(f"{name:<24} {value:9.1f} ms")
+        print(f"{name:<24} {value:9.1f} ms  {det_muls[name]} multiplies")
     oracle = oracle_cases()
     for name, value in oracle.items():
         print(f"{name:<24} {value:9.3f} {name.rsplit('_', 1)[1]}")
@@ -283,6 +306,7 @@ def main(argv=None):
         doc[args.label] = {
             "us_per_op": {k: round(v, 3) for k, v in us.items()},
             "dets_ms": {k: round(v, 1) for k, v in det_ms.items()},
+            "dets_multiplies": det_muls,
             "oracle": {k: round(v, 3) for k, v in oracle.items()},
             "cold_start_ms": {k: round(v, 1) for k, v in cold.items()},
             "cold_lienil_modules": modules}

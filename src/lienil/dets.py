@@ -6,7 +6,11 @@ All permutation sums follow the position order t = 1..n; the double sum
 adds its terms left to right in the order the permutations are enumerated.
 A term with a zero factor costs no ring multiply, a product stops at its
 first zero partial product, and zero terms are not added: the nonzero
-terms keep their order.
+terms keep their order.  A term over m positions is the product of two
+halves, its first m - m // 2 factors and its last m // 2, and a call
+multiplies out each distinct half once.  With no zero entry or product,
+sdet at n = 5 makes 22000 ring multiplies, where multiplying out every
+term would make 57600.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from .rings import (CostCapError, PolynomialRing, RingError,
 
 MAX_N = 5                 # the (n!)^2 enumerations stop here
 # An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
-# degree n^k in the entries of A.  At g = 4 the costliest degree admitted,
-# n=5, k=3, takes 13 s for charpoly and 19 s for rdet on dense entries;
-# the next, 5^4 = 625, over 90 s.  A 1x1 chain does constant work per
-# step; k <= 512 holds it under 50 ms.
+# degree n^k in the entries of A.  At g = 4, on a sampled example-5.2
+# member, charpoly takes 3.9 s at n=5, k=3 and 16 s at n=2, k=9; rdet at
+# n=5, k=3 takes 0.9 s on random unit entries.  The next degree at n=5,
+# 5^4 = 625, ran over 90 s when this cap was set.  A 1x1 chain does
+# constant work per step; k <= 512 holds it under 50 ms.
 MAX_DEGREE = 512
 
 
@@ -52,6 +57,19 @@ def _sign(perm):
     return -1 if inv & 1 else 1
 
 
+def _product(factors, ring):
+    """The nonzero factors multiplied in order from the first (an empty
+    product is ``ring.one``), stopping at a zero partial product: a zero
+    product is ``ring.zero`` itself."""
+    factors = iter(factors)
+    prod = next(factors, ring.one)
+    for x in factors:
+        prod = prod * x
+        if not prod:
+            return ring.zero
+    return prod
+
+
 def _pair_sum(A, fixed=None):
     """sum over alpha, beta in S_n of sgn(alpha) sgn(beta) times
     a_{alpha(t),beta(t)} over the positions t in order.  With fixed = (s, r)
@@ -60,42 +78,64 @@ def _pair_sum(A, fixed=None):
 
     The pairs are generated lazily.  A's zero pattern is read once: a pair
     that meets a zero entry is the term ``ring.zero`` with no ring multiply.
-    Any other product starts from its first factor (an empty product, as in
-    the 1x1 preadjoint, is ``ring.one``) and stops at a zero partial
-    product."""
+    The m positions split into the last m // 2 and the ones before them,
+    and any other term is the product of its two halves.  The factors of a
+    half depend only on alpha's rows and beta's columns at its positions,
+    so each distinct half is multiplied out once per call and looked up
+    after that.  Every product starts from its first factor and stops at a
+    zero partial product.  With m = 3 a term is (a b) c, as when it is
+    multiplied out in order; with m < 2 there is one half, and with m = 0,
+    as in the 1x1 preadjoint, it is the empty product ``ring.one``."""
     n = A.nrows
     ring, rows = A.ring, A.rows
     perms = [(p, _sign(p)) for p in permutations(range(n))]
     alphas = betas = perms
-    positions = range(n)
+    positions = list(range(n))
     if fixed is not None:
         s, r = fixed
         alphas = [(p, sp) for p, sp in perms if p[s] == s]
         betas = [(p, sp) for p, sp in perms if p[s] == r]
-        positions = [t for t in positions if t != s]
-    # Bit n t + j stands for column j at position t: alpha carries the
-    # zero entries of its rows, beta the columns it picks.
+        positions.remove(s)
+    # Bit n t + j stands for value j at position t.  alpha carries its rows
+    # and, n^2 bits up, the zero entries in them; beta carries its columns
+    # n^2 bits up.  A pair meets a zero entry when alpha's zeros share a bit
+    # with beta's columns, and a half is keyed by the bits of the pair's
+    # rows and columns at its positions.
+    up = n * n
     zero_cols = [sum(1 << j for j, x in enumerate(row) if not x)
                  for row in rows]
-    alphas = [(p, sp, sum(zero_cols[p[t]] << n * t for t in positions))
-              for p, sp in alphas]
-    betas = [(p, sp, sum(1 << n * t + p[t] for t in positions))
+    alphas = [(p, sp, sum(zero_cols[p[t]] << up + n * t for t in positions),
+               sum(1 << n * t + p[t] for t in positions)) for p, sp in alphas]
+    betas = [(p, sp, sum(1 << up + n * t + p[t] for t in positions))
              for p, sp in betas]
+    k = len(positions) // 2
+    halves = []
+    for ts in (positions[:-k], positions[-k:]) if k else (positions,):
+        mask = sum((1 << n) - 1 << n * t for t in ts)
+        halves.append((ts, mask | mask << up, {}))
     pairs = ((a, b) for a in alphas for b in betas)
+    zero = ring.zero
 
     def term(item):
-        (pa, sa, zeros), (pb, sb, picks) = item
+        (pa, sa, zeros, bits), (pb, sb, picks) = item
         if zeros & picks:
-            return ring.zero
-        factors = (rows[pa[t]][pb[t]] for t in positions)
-        prod = next(factors, ring.one)
-        for x in factors:
-            prod = prod * x
-            if not prod:
-                return ring.zero
+            return zero
+        bits |= picks
+        prod = None
+        for ts, mask, cache in halves:
+            key = bits & mask
+            part = cache.get(key)
+            if part is None:
+                part = cache[key] = _product(
+                    [rows[pa[t]][pb[t]] for t in ts], ring)
+            if part is zero:
+                return zero
+            prod = part if prod is None else prod * part
+        if not prod:
+            return zero
         return prod if sa * sb > 0 else -prod
 
-    return map_reduce_sum(pairs, term, ring.zero)
+    return map_reduce_sum(pairs, term, zero)
 
 
 def sdet(A):

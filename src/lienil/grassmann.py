@@ -16,18 +16,17 @@ from .scalars import QQ
 SOLVER_CAP = 12  # solve_constraint materializes a 2^g x 2^g matrix
 
 
-def _merge_sign(a, b):
-    """Sign of joining sorted monomials a, b (bitmasks); None if they overlap."""
-    if a & b:
-        return None
-    sign = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        # generators of a strictly above this bit must hop over it
-        sign += (a >> low.bit_length()).bit_count()
-        bb ^= low
-    return -1 if sign & 1 else 1
+def _hops(a):
+    """The mask of the generators that an odd number of a's generators hop
+    over when monomial a is joined before a disjoint monomial b: a * b is
+    minus the sorted monomial a | b exactly when (b & _hops(a)).bit_count()
+    is odd.  Each generator of a contributes every bit below it."""
+    hops = 0
+    while a:
+        low = a & -a
+        hops ^= low - 1
+        a ^= low
+    return hops
 
 
 class GrassmannAlgebra(Ring):
@@ -130,21 +129,20 @@ class GrassmannAlgebra(Ring):
             raise RingError("Lie nilpotency index must be >= 1")
 
         def comm(a, b):
-            # commutator of monomials a, b: 0 or +-2 * (a|b)
-            s1 = _merge_sign(a, b)
-            if s1 is None:
+            # the commutator of monomials a, b is 0 or +-2 (a|b): its
+            # monomial, or None for 0
+            if a & b:
                 return None
-            s2 = _merge_sign(b, a)
-            if s1 == s2:
-                return None
-            return (a | b, s1)  # value is 2*s1 * basis(a|b), nonzero
+            ab = (b & _hops(a)).bit_count()
+            ba = (a & _hops(b)).bit_count()
+            return a | b if (ab ^ ba) & 1 else None
 
         def vanishes(tup):
             acc = comm(tup[0], tup[1])
             for m in tup[2:]:
                 if acc is None:
                     return True
-                acc = comm(acc[0], m)
+                acc = comm(acc, m)
             return acc is None
 
         masks = list(self.basis_masks())
@@ -191,13 +189,13 @@ class GrassmannElement(RingElement):
             return NotImplemented
         out = {}
         for ma, ca in self.coeffs.items():
+            hops = _hops(ma)
             for mb, cb in o.coeffs.items():
-                sign = _merge_sign(ma, mb)
-                if sign is None:
+                if ma & mb:
                     continue
                 m = ma | mb
                 c = ca * cb
-                if sign < 0:
+                if (mb & hops).bit_count() & 1:
                     c = -c
                 s = out.get(m)
                 s = c if s is None else s + c

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lienil import (CostCapError, CyclotomicField, GrassmannAlgebra,
-                    GrassmannElement, Matrix, QQ, RingError,
+                    GrassmannElement, Matrix, PolynomialRing, QQ, RingError,
                     adjoint_sequence, cayley_hamilton_check, charpoly,
                     classical_adj, classical_det, epsilon,
                     integrality_certificate, ldet, leading_coefficient_value,
@@ -45,7 +45,7 @@ def test_sdet_first_form_agrees():
         assert sdet(A) == sdet_first_form(A)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_sdet_is_nfact_det_commutative(n):
     R, A = symbolic_matrix(n)
     nfact = 1
@@ -139,14 +139,8 @@ def test_zero_skip_commutative():
         assert preadjoint(A) == classical_adj(A).scalar_mul(nfact // n)
 
 
-def test_zero_skip_multiplies_only_nonzero_terms(monkeypatch):
-    """On a 4x4 diagonal matrix of units only the 24 pairs alpha = beta
-    meet no zero entry; each costs 3 ring multiplies (2304 without the
-    skip).  The preadjoint's nonzero terms are its 6 pairs per diagonal
-    entry, at 2 multiplies each."""
-    E = GrassmannAlgebra(4, QQ)
-    A = Matrix(E, [[E.element({0: i + 2, 1 << i: 1}) if i == j else E.zero
-                    for j in range(4)] for i in range(4)])
+def count_multiplies(monkeypatch, fn, A):
+    """fn(A) and the number of Grassmann ring multiplies it made."""
     calls = []
     mul = GrassmannElement.__mul__
 
@@ -155,13 +149,70 @@ def test_zero_skip_multiplies_only_nonzero_terms(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(GrassmannElement, "__mul__", counted)
-    value = sdet(A)
-    assert len(calls) == 72
-    del calls[:]
-    adj = preadjoint(A)
-    assert len(calls) == 48
+    value = fn(A)
     monkeypatch.undo()
+    return value, len(calls)
+
+
+def test_zero_skip_multiplies_only_nonzero_terms(monkeypatch):
+    """On a 4x4 diagonal matrix of units only the 24 pairs alpha = beta
+    meet no zero entry (2304 multiplies without the skip).  Each term is
+    the product of its positions 1-2 and 3-4, and a half is keyed by its
+    rows and columns: 12 distinct first halves and 12 second halves at one
+    multiply each, plus 24 joins, make 48.  A preadjoint diagonal entry
+    has 3 positions, split 2 + 1: its 6 pairs have 6 distinct first halves
+    at one multiply each, plus 6 joins; the 4 entries make 48."""
+    E = GrassmannAlgebra(4, QQ)
+    A = Matrix(E, [[E.element({0: i + 2, 1 << i: 1}) if i == j else E.zero
+                    for j in range(4)] for i in range(4)])
+    value, calls = count_multiplies(monkeypatch, sdet, A)
+    assert calls == 48
+    adj, calls = count_multiplies(monkeypatch, preadjoint, A)
+    assert calls == 48
     assert value == sdet_first_form(A) and adj == preadjoint_via_minors(A)
+
+
+@pytest.mark.parametrize("fn, n, expected", [
+    (sdet, 3, 72), (sdet, 4, 864), (sdet, 5, 22000),
+    (preadjoint, 3, 36), (preadjoint, 5, 21600)])
+def test_dense_multiplies_halves_once(monkeypatch, fn, n, expected):
+    """With no zero entry and no zero product, a term over m positions is
+    its first m - m // 2 factors times its last m // 2, and each distinct
+    half is multiplied out once.  sdet at n = 5: 60^2 three-position halves
+    at two multiplies, 20^2 two-position halves at one, and 14400 joins
+    (57600 multiplies when every term is multiplied out).  At n = 3 the
+    rows and columns of a half name the whole pair, so nothing is shared."""
+    E = GrassmannAlgebra(2, QQ)
+    rng = random.Random(n)
+    units = [[E.element({0: rng.choice((1, 2, 3)), rng.randrange(1, 4): 1})
+              for _ in range(n)] for _ in range(n)]
+    A = Matrix(E, units)
+    _, calls = count_multiplies(monkeypatch, fn, A)
+    assert calls == expected
+
+
+def split_cases():
+    """n = 5 matrices for the half products, named by their ids."""
+    _, dense = grassmann_matrix(3, 5, 55)
+    E = GrassmannAlgebra(4, CyclotomicField(3))
+    return [pytest.param(dense, id="dense_g3"),
+            pytest.param(sparse_matrix(E, 5, 305), id="sparse_zeta3")]
+
+
+@pytest.mark.parametrize("A", split_cases())
+def test_half_products_match_oracles_n5(A):
+    assert sdet(A) == sdet_first_form(A)
+    assert preadjoint(A) == preadjoint_via_minors(A)
+
+
+def test_half_products_match_oracles_over_rz():
+    """The entries of z I - A lie in R[z], where charpoly sums."""
+    E, A = grassmann_matrix(3, 4, 44)
+    rz = PolynomialRing(E)
+    B = (Matrix.identity(rz, 4) * rz.z
+         - A.map_entries(rz.constant, ring=rz))
+    assert sdet(B) == sdet_first_form(B)
+    assert preadjoint(B) == preadjoint_via_minors(B)
 
 
 def test_map_reduce_sum_adds_nonzero_terms_in_order():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lienil import (ComponentBasis, CyclotomicField, GrassmannAlgebra, QQ,
                     RingError, epsilon, graded_component_basis, rho, sigma,
                     sigma_inverse, solve_constraint)
-from lienil.grassmann import _merge_sign
+from lienil.grassmann import _hops
 
 
 def test_generator_relations():
@@ -22,11 +22,37 @@ def test_generator_relations():
             assert v[i] * v[j] == -(v[j] * v[i])
 
 
+def merge_sign(a, b):
+    """Sign of joining monomials a, b (bitmasks) in that order; None if
+    they overlap."""
+    if a & b:
+        return None
+    return -1 if (b & _hops(a)).bit_count() & 1 else 1
+
+
+def inversion_sign(a, b):
+    """The same sign by brute force: (-1) to the number of generators of
+    a above a generator of b."""
+    bits = [i for i in range(64) if b >> i & 1]
+    hops = sum(1 for i in range(64) if a >> i & 1 for j in bits if i > j)
+    return -1 if hops & 1 else 1
+
+
 def test_merge_sign():
-    assert _merge_sign(0b001, 0b010) == 1       # v1 * v2
-    assert _merge_sign(0b010, 0b001) == -1      # v2 * v1
-    assert _merge_sign(0b001, 0b001) is None
-    assert _merge_sign(0b101, 0b010) == -1      # (v1v3) * v2 = -v1v2v3
+    assert merge_sign(0b001, 0b010) == 1       # v1 * v2
+    assert merge_sign(0b010, 0b001) == -1      # v2 * v1
+    assert merge_sign(0b001, 0b001) is None
+    assert merge_sign(0b101, 0b010) == -1      # (v1v3) * v2 = -v1v2v3
+    for g in range(7):
+        for a in range(1 << g):
+            for b in range(1 << g):
+                if not a & b:
+                    assert merge_sign(a, b) == inversion_sign(a, b)
+    rng = random.Random(64)
+    for _ in range(1000):
+        a = rng.getrandbits(64)
+        b = rng.getrandbits(64) & ~a
+        assert merge_sign(a, b) == inversion_sign(a, b)
 
 
 def test_product_example():

@@ -30,6 +30,9 @@ def test_commutators():
 def test_grassmann_lie_nilpotent_index_two(g):
     E = GrassmannAlgebra(g, QQ)
     assert is_lie_nilpotent_index(E, 2)
+    # the exhaustive check finds [v1, v2] != 0 itself; E is commutative
+    # below two generators
+    assert is_lie_nilpotent_index(E, 1) == (g < 2)
     if g >= 2:
         # index 1 fails: [v1, v2] = 2 v1 v2 != 0
         assert not is_lie_nilpotent_index(E, 1, witnesses=[
