@@ -22,9 +22,9 @@ _MODULE_OF = {name: module for module, names in {
     "grassmann": "ComponentBasis GrassmannAlgebra GrassmannElement epsilon "
                  "graded_component_basis rho sigma sigma_inverse "
                  "solve_constraint",
-    "matrices": "Matrix MatrixRing TransitiveMatrix blow_up delta_n "
-                "factor_transitive hadamard is_transitive theta "
-                "theta_inverse transitive_from_units transitive_square",
+    "matrices": "Matrix TransitiveMatrix blow_up delta_n factor_transitive "
+                "hadamard is_transitive theta theta_inverse "
+                "transitive_from_units transitive_square",
     "supermatrix": "EmbeddingConditionsReport SuperAlgebraSpec "
                    "check_embedding_conditions closure_check embed "
                    "example_5_1 example_5_2 example_5_3 example_algebra "

@@ -14,9 +14,9 @@ import time
 from . import dets
 from .grassmann import (ComponentBasis, GrassmannAlgebra, epsilon,
                         graded_component_basis)
-from .matrices import (Matrix, MatrixRing, blow_up, factor_transitive,
-                       hadamard, is_transitive, matrix_units_counterexample,
-                       theta, theta_inverse, transitive_from_units,
+from .matrices import (Matrix, blow_up, factor_transitive, hadamard,
+                       is_transitive, matrix_units_counterexample, theta,
+                       theta_inverse, transitive_from_units,
                        transitive_square)
 from .rings import classical_adj, classical_det, fixed_ring_member, oracle_ring
 from .scalars import QQ, CyclotomicField
@@ -36,6 +36,12 @@ def _random_unit(ring, field_kind, rng):
     if ring.field.order > 1:
         c = c * ring.field.e ** rng.randrange(ring.field.order)
     return ring.from_scalar(c)
+
+
+def _random_matrix(ring, n, rng):
+    """n x n random elements of ring, drawn row by row."""
+    return Matrix(ring, [[ring.random_element(rng) for _ in range(n)]
+                         for _ in range(n)])
 
 
 def criterion_1_transitivity():
@@ -79,9 +85,9 @@ def criterion_2_theta():
     ]
     pairs_per_config = 100
     for name, ring, T in configs:
-        matrices = MatrixRing(ring, T.n)
         for _ in range(pairs_per_config):
-            A, B = matrices.random_element(rng), matrices.random_element(rng)
+            A = _random_matrix(ring, T.n, rng)
+            B = _random_matrix(ring, T.n, rng)
             if theta(T, A * B) != theta(T, A) * theta(T, B):
                 return False, {"failure": f"multiplicativity on {name}"}
             if theta_inverse(T, theta(T, A)) != A:
@@ -111,7 +117,7 @@ def criterion_3_oracle_equivalence():
         nfact = math.factorial(n)
         if dets.sdet(A) != classical_det(A) * nfact:
             return False, {"failure": f"sdet vs det at n={n}"}
-        if dets.preadjoint(A) != classical_adj(A).scalar_mul(nfact // n):
+        if dets.preadjoint(A) != nfact // n * classical_adj(A):
             return False, {"failure": f"preadjoint vs adj at n={n}"}
         details[f"n={n}"] = "sdet=n!det and A*=(n-1)!adj"
     return True, details
@@ -125,7 +131,7 @@ def criterion_4_minor_identity():
     per_n = {2: 0, 3: 0, 4: 0}
     while count < 50:
         n = rng.choice([2, 3, 4])
-        A = MatrixRing(E, n).random_element(rng)
+        A = _random_matrix(E, n, rng)
         if dets.preadjoint(A) != dets.preadjoint_via_minors(A):
             return False, {"failure": f"minor identity at n={n}"}
         per_n[n] += 1

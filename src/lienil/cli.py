@@ -261,7 +261,7 @@ def main(argv=None):
     except (CostCapError, OrderCapError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_COST_CAP
-    except (OSError, ScalarError, RingError, KeyError, ValueError) as exc:
+    except (OSError, ScalarError, RingError, ValueError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -220,9 +220,6 @@ class GrassmannElement(RingElement):
         return GrassmannElement(
             self.ring, {m: c for m, c in self.coeffs.items() if m.bit_count() == k})
 
-    def max_degree(self):
-        return max((m.bit_count() for m in self.coeffs), default=0)
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .rings import (SCALARS, ContextMismatchError, CostCapError, Ring,
-                    RingError, check_same_ring)
+from .rings import (SCALARS, ContextMismatchError, CostCapError, RingError,
+                    check_same_ring)
 from .scalars import MAX_ORDER
 
 
@@ -84,15 +84,9 @@ class Matrix:
         return self.map_entries(lambda e: e * other)
 
     def __rmul__(self, other):
+        if isinstance(other, SCALARS):      # lift a scalar once
+            other = self.ring.from_scalar(other)
         return self.map_entries(lambda e: other * e)
-
-    def __pow__(self, k):
-        if not self.is_square:
-            raise MatrixError("powers need a square matrix")
-        out = Matrix.identity(self.ring, self.nrows)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -101,11 +95,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.ring, self.rows))
-
-    def scalar_mul(self, c):
-        if isinstance(c, SCALARS):
-            c = self.ring.from_scalar(c)
-        return self.map_entries(lambda e: c * e)
 
     def map_entries(self, f, ring=None):
         return Matrix(ring or self.ring, [[f(e) for e in r] for r in self.rows])
@@ -248,7 +237,7 @@ def blow_up(T, cuts):
 def transitive_square(T):
     """T*T, asserting the identity T^2 = nT."""
     sq = T.matrix * T.matrix
-    if sq != T.matrix.scalar_mul(T.n):
+    if sq != T.n * T.matrix:
         raise MatrixError("certificate broken: T^2 != nT")
     return sq
 
@@ -297,43 +286,3 @@ def matrix_units_counterexample(T):
                               for c in range(1, n + 1)] for r in range(1, n + 1)])
 
     return unit(i, j), unit(j, k)
-
-
-class MatrixRing(Ring):
-    """M_n(R) as a ring whose elements are Matrix objects."""
-
-    def __init__(self, base, n):
-        self.base = base
-        self.n = n
-        self.field = base.field
-        self.params = (base, n)
-        self.zero = Matrix(base, [[base.zero] * n] * n)
-        self.one = Matrix.identity(base, n)
-
-    def __repr__(self):
-        return f"MatrixRing({self.base!r}, n={self.n})"
-
-    def from_scalar(self, c):
-        return self.one.scalar_mul(self.base.from_scalar(c))
-
-    def is_central(self, M):
-        # central matrices over a ring with central-scalar entries: c*I
-        d = M.rows[0][0]
-        if not self.base.is_central(d):
-            return False
-        return M == self.one.map_entries(lambda e: e * d)
-
-    def try_invert(self, M):
-        return None  # not needed at desk scale
-
-    def generating_set(self):
-        gens = []
-        for g in self.base.generating_set():
-            rows = [[g if (i, j) == (0, 0) else self.base.zero
-                     for j in range(self.n)] for i in range(self.n)]
-            gens.append(Matrix(self.base, rows))
-        return gens
-
-    def random_element(self, rng):
-        return Matrix(self.base, [[self.base.random_element(rng)
-                                   for _ in range(self.n)] for _ in range(self.n)])

@@ -1,10 +1,12 @@
 """Abstract unital ring contract, endomorphisms, commutators, and R[z].
 
-Every concrete ring (Grassmann algebra, commutative oracle, matrix ring,
-polynomial ring) subclasses Ring.  Elements carry a ``.ring`` attribute and
-overload +, -, *; elements of different rings never mix.  The element
-classes subclass RingElement, which lifts scalars and derives subtraction
-and the reflected operators from each class's own +, unary - and *.  A
+Every concrete ring (Grassmann algebra, commutative oracle, polynomial
+ring R[z]) subclasses Ring.  Elements carry a ``.ring`` attribute and
+overload +, -, *; elements of different rings never mix.  A matrix over a
+ring is a ``matrices.Matrix``, whose ``.ring`` is the ring of its
+entries; M_n(R) is not itself a Ring here.  The element classes subclass
+RingElement, which lifts scalars and derives subtraction and the
+reflected operators from each class's own +, unary - and *.  A
 commutative multivariate polynomial ring over Q, sparse polynomials with
 Fraction coefficients, serves as an oracle for cross-validating the
 noncommutative determinant code.
@@ -140,15 +142,10 @@ def left_normed_commutator(elems):
     return acc
 
 
-def is_lie_nilpotent_index(ring, k, witnesses=None):
+def is_lie_nilpotent_index(ring, k, witnesses):
     """True iff the left-normed commutator of length k+1 vanishes on every
-    supplied (k+1)-tuple.  For Grassmann rings an exhaustive basis-monomial
-    mode is used when no witnesses are given (see grassmann module)."""
-    if witnesses is None:
-        exhaustive = getattr(ring, "lie_nilpotent_exhaustive", None)
-        if exhaustive is None:
-            raise RingError("no witnesses given and ring has no exhaustive mode")
-        return exhaustive(k)
+    supplied (k+1)-tuple.  ``GrassmannAlgebra.lie_nilpotent_exhaustive``
+    decides it on every tuple of basis monomials."""
     for tup in witnesses:
         if len(tup) != k + 1:
             raise RingError(f"witness tuple must have {k + 1} elements")

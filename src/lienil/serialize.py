@@ -1,5 +1,5 @@
-"""JSON encodings for scalars, Grassmann elements, matrices, polynomials,
-and supermatrix algebra specs.
+"""JSON encodings for scalars, Grassmann elements, matrices, rings,
+endomorphisms and supermatrix algebra specs.
 
 Grassmann elements: {"g": 4, "coeffs": {"": "3/2", "1,2": "-1"}} where keys
 are comma-separated ascending 1-based generator indices (empty key = scalar
@@ -16,8 +16,7 @@ import re
 from .grassmann import (GrassmannAlgebra, GrassmannElement, epsilon,
                         endomorphism_from_generator_images, rho, sigma)
 from .matrices import Matrix, TransitiveMatrix
-from .rings import (CostCapError, OracleElement, OracleRing, RingError,
-                    RPolynomial)
+from .rings import CostCapError, OracleElement, OracleRing, RingError
 from .scalars import Cyc, CyclotomicField, parse_scalar
 
 
@@ -83,8 +82,6 @@ def element_to_json(x):
             return str(x)
     except ValueError as exc:   # an integer over CPython's decimal-text limit
         raise CostCapError(f"result too long to print: {exc}") from None
-    if isinstance(x, RPolynomial):
-        return rpoly_to_json(x)
     raise SerializationError(f"no JSON encoding for {type(x).__name__}")
 
 
@@ -109,23 +106,13 @@ def matrix_to_json(A):
 
 
 def matrix_from_json(ring, doc):
-    entries = doc["entries"] if isinstance(doc, dict) else None
-    if not (isinstance(entries, list)
-            and all(isinstance(row, list) for row in entries)):
+    if not isinstance(doc, dict):
+        raise SerializationError("a matrix must be an object")
+    entries = field(doc, "entries", list)
+    if not all(isinstance(row, list) for row in entries):
         raise SerializationError("matrix entries must be a list of lists")
     return Matrix(ring, [[element_from_json(ring, e) for e in row]
                          for row in entries])
-
-
-# --- polynomials ---
-
-def rpoly_to_json(p):
-    return {"coeffs": [element_to_json(c) for c in p.coeffs]}
-
-
-def rpoly_from_json(poly_ring, doc):
-    return poly_ring.element([element_from_json(poly_ring.base, c)
-                              for c in doc["coeffs"]])
 
 
 # --- rings and deltas ---
@@ -150,7 +137,7 @@ def ring_from_json(doc):
     kind = doc.get("type")
     if kind == "grassmann":
         return GrassmannAlgebra(
-            _int(doc["g"], "g"),
+            _int(field(doc, "g"), "g"),
             CyclotomicField(_int(doc.get("root_order", 1), "root_order")))
     if kind == "oracle":
         return OracleRing(field(doc, "variables", list))

@@ -12,7 +12,7 @@ from operator import mul
 from .grassmann import GrassmannAlgebra, epsilon, rho, sigma, solve_constraint
 from .matrices import Matrix, TransitiveMatrix, blow_up, transitive_from_units
 from .rings import CostCapError, RingError, fixed_ring_member
-from .scalars import MAX_ORDER, CyclotomicField, OrderCapError
+from .scalars import CyclotomicField
 
 
 class SuperMatrixError(RingError):
@@ -103,7 +103,7 @@ def closure_check(spec, A, B, scalars=(1,)):
     if not is_supermatrix(spec, A * B):
         return False
     for c in scalars:
-        if not is_supermatrix(spec, A.scalar_mul(c)):
+        if not is_supermatrix(spec, c * A):
             return False
     return True
 
@@ -284,9 +284,8 @@ def p_matrix(ring, u, n=2):
 def root_embedding(r, delta, n):
     """embed(r) in M_n(R, delta, P^(e)) for e a primitive n-th root of unity.
     A delta with delta^n != id gives no embedding and is refused before any
-    work.  Each entry is a sum of n products, so n is capped at MAX_ORDER."""
-    if n > MAX_ORDER:
-        raise OrderCapError(f"embedding size {n} exceeds the cap {MAX_ORDER}")
+    work.  Each entry is a sum of n products; ``primitive_root`` caps n at
+    ``scalars.MAX_ORDER``."""
     ring = r.ring
     e = ring.field.primitive_root(n)
     if not delta.power_is_identity(n):

@@ -336,6 +336,52 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+def test_missing_keys_name_the_field(tmp_path, capsys, monkeypatch):
+    """A Grassmann ring without "g" and a matrix without "entries" are bad
+    input, and the error names the missing field.  A KeyError from inside
+    the library is not bad input: it is not turned into exit 2."""
+    for key, doc in (("g", {"ring": {"type": "grassmann"}, "matrix": PAIR}),
+                     ("entries", {"ring": GRING, "matrix": {"n": 2}})):
+        assert main(["sdet", write(tmp_path, f"no-{key}.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "", key
+        assert json.loads(err)["error"] == (
+            f"SerializationError: missing field {key!r}")
+    from lienil import dets
+
+    def broken(A):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(dets, "sdet", broken)
+    src = write(tmp_path, "ok.json", {"ring": GRING, "matrix": PAIR})
+    with pytest.raises(KeyError):
+        main(["sdet", src])
+
+
+def test_generator_images_descriptor(tmp_path, capsys):
+    """Images [-v1, -v2] on g = 2 name epsilon, so ``conditions`` and
+    ``membership`` print what the "epsilon" descriptor prints.  Images
+    that do not extend to an endomorphism are bad input."""
+    minus = {"generator_images": [{"coeffs": {"1": "-1"}},
+                                  {"coeffs": {"2": "-1"}}]}
+    for cmd, extra in ((["conditions"], {}),
+                       (["membership"], {"matrix": MIXED}),
+                       (["membership"], {"matrix": PAIR})):
+        replies = []
+        for i, delta in enumerate(("epsilon", minus)):
+            src = write(tmp_path, f"images{i}.json",
+                        {**SPEC, **extra, "delta": delta})
+            replies.append((main(cmd + [src]), capsys.readouterr().out))
+        assert replies[0] == replies[1], (cmd, extra)
+    assert replies[0][0] == 1           # PAIR is not a member
+    ones = write(tmp_path, "ones.json", {
+        **SPEC, "delta": {"generator_images": ["1", "1"]}, "matrix": MIXED})
+    for cmd in (["conditions"], ["membership"]):
+        assert main(cmd + [ones]) == 2, cmd
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in json.loads(err), cmd
+
+
 def test_cost_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LIENIL_MAX_N", "6")     # the cap is fixed at n <= 5
     n = 6

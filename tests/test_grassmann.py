@@ -90,7 +90,6 @@ def test_scalar_and_homogeneous_parts():
     assert x.scalar_part == QQ.from_fraction(Fraction(1, 2))
     assert x.homogeneous_component(1) == v1
     assert x.homogeneous_component(2) == v2 * v3 * 3
-    assert x.max_degree() == 2
 
 
 def test_epsilon_squares_to_identity():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lienil import (CyclotomicField, GrassmannAlgebra, Matrix, MatrixRing, QQ,
+from lienil import (CyclotomicField, GrassmannAlgebra, Matrix, QQ,
                     TransitiveMatrix, blow_up, delta_n, epsilon,
                     factor_transitive, hadamard, is_transitive, theta,
                     theta_inverse, transitive_from_units, transitive_square)
@@ -90,7 +90,7 @@ def test_transitivity_witnesses():
     E = GrassmannAlgebra(0, QQ)
     # every triple holds in the zero matrix, but t_11 = 0: not transitive,
     # yet Theta_T is multiplicative, so no pair of matrix units separates it
-    Z = MatrixRing(E, 2).zero
+    Z = scalar_matrix(E, [[0, 0], [0, 0]])
     assert not is_transitive(Z) and matrix_units_counterexample(Z) is None
     # the failure sits away from the first row and column
     M = scalar_matrix(E, [[1, 1, 1], [1, 1, 1], [1, 2, 1]])
@@ -113,7 +113,7 @@ def test_transitive_square_identity():
     E = GrassmannAlgebra(2, QQ)
     units = [E.one, E.from_scalar(-1) + E.generator(1) * E.generator(2)]
     T = transitive_from_units(E, units)
-    assert transitive_square(T) == T.matrix.scalar_mul(2)
+    assert transitive_square(T) == 2 * T.matrix
 
 
 def test_blow_up_explicit():
@@ -124,7 +124,7 @@ def test_blow_up_explicit():
     assert B.matrix == scalar_matrix(E, [[1, -1, -1],
                                          [-1, 1, 1],
                                          [-1, 1, 1]])
-    assert transitive_square(B) == B.matrix.scalar_mul(3)
+    assert transitive_square(B) == 3 * B.matrix
     # uneven blocks of a 3x3 T: rows and columns 1 | 2-4 | 5-6
     R = TransitiveMatrix(scalar_matrix(E, [[1, 2, 6], [Fraction(1, 2), 1, 3],
                                            [Fraction(1, 6), Fraction(1, 3), 1]]))
@@ -217,16 +217,22 @@ def test_matrix_basics():
     A = scalar_matrix(E, [[1, 2], [3, 4]])
     assert A.trace() == E.from_scalar(5)
     assert A.minor(1, 2) == scalar_matrix(E, [[3]])
-    assert (A ** 2) == A * A
     assert A.entry(2, 1) == E.from_scalar(3)
     with pytest.raises(MatrixError):
         Matrix(E, [[E.one], [E.one, E.one]])
 
 
-def test_matrix_ring_contract():
-    E = GrassmannAlgebra(2, QQ)
-    M2 = MatrixRing(E, 2)
-    assert M2.one * M2.one == M2.one
-    assert M2.is_central(M2.from_scalar(3))
-    assert not M2.is_central(Matrix(E, [[E.one, E.one],
-                                        [E.zero, E.one]]))
+def test_scalar_products():
+    """c * A multiplies every entry by c on the left, a scalar c lifted
+    into the ring once; A * c multiplies on the right."""
+    E = GrassmannAlgebra(2, CyclotomicField(3))
+    v1, v2 = E.generators
+    A = Matrix(E, [[E.one, v1], [v2, v1 * v2 + 2]])
+    assert 2 * A == A + A == A * 2
+    half = scalar_matrix(E, [[Fraction(1, 2)] * 2] * 2)
+    assert Fraction(1, 2) * A == hadamard(half, A) == A * Fraction(1, 2)
+    e = E.field.e
+    assert e * A == E.from_scalar(e) * A == A.map_entries(lambda x: x * e)
+    assert v1 * A == Matrix(E, [[v1, E.zero], [v1 * v2, v1 * 2]])
+    assert A * v1 == Matrix(E, [[v1, E.zero], [-(v1 * v2), v1 * 2]])
+    assert 0 * A == scalar_matrix(E, [[0, 0], [0, 0]])

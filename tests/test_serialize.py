@@ -1,18 +1,16 @@
-"""JSON round trips for elements, matrices, polynomials, and specs."""
+"""JSON round trips for elements, matrices, rings, and specs."""
 
 import random
 
 import pytest
 
-from lienil import (CyclotomicField, GrassmannAlgebra, Matrix,
-                    PolynomialRing, QQ, oracle_ring)
+from lienil import CyclotomicField, GrassmannAlgebra, Matrix, QQ, oracle_ring
 from lienil.serialize import (SerializationError, delta_from_json,
                               delta_to_json, element_from_json,
                               element_to_json, grassmann_from_json,
                               grassmann_to_json, matrix_from_json,
                               matrix_to_json, ring_from_json, ring_to_json,
-                              rpoly_from_json, rpoly_to_json, spec_from_json,
-                              spec_to_json)
+                              spec_from_json, spec_to_json)
 from lienil.supermatrix import example_5_1, example_5_2, example_5_3
 
 
@@ -56,13 +54,6 @@ def test_oracle_round_trip():
     R = oracle_ring(["x", "y"])
     x = R.parse("x**2 - 3*y + 1")
     assert element_from_json(R, element_to_json(x)) == x
-
-
-def test_rpoly_round_trip():
-    E = GrassmannAlgebra(2, QQ)
-    Rz = PolynomialRing(E)
-    p = Rz.element([E.generator(1), E.one, E.generator(2) * 2])
-    assert rpoly_from_json(Rz, rpoly_to_json(p)) == p
 
 
 def test_ring_round_trip():
