@@ -12,7 +12,10 @@ The determinant section prints the milliseconds of ``sdet`` and
 ``preadjoint`` on a seeded n x n matrix of random g = 4 Grassmann elements
 over Q, at n = 3, 4, 5, and of ``sdet`` on a seeded sparse 5 x 5 matrix
 at g = 4 (a unit diagonal; each off-diagonal entry is one monomial with
-probability 0.4, else zero): the best of three calls in this interpreter.
+probability 0.4, else zero), and of the adjoint chains on the n = 3
+matrix: ``rdet`` at k = 2, ``charpoly`` at k = 1 and the Cayley-Hamilton
+residual at k = 2 (``lienil rdet --k 2``, ``charpoly --k 1`` and
+``ch-check --k 2``).  Each is the best of three calls in this interpreter.
 Next to each time it prints the Grassmann ring multiplies of one more
 call, counted by wrapping ``GrassmannElement.__mul__`` in this script.
 
@@ -69,6 +72,10 @@ DET_SIZES = (3, 4, 5)
 DET_REPEATS = 3
 SPARSE_N = 5
 SPARSE_DENSITY = 0.4
+CHAIN_N = 3
+CHAINS = {"rdet2": lambda A: dets.rdet(A, 2),
+          "charpoly1": lambda A: dets.charpoly(A, 1),
+          "ch_check2": lambda A: dets.cayley_hamilton_check(A, 2)}
 ORACLE_REPEATS = 3
 # One timed oracle call (argv[1]: criterion_3 or <sdet|preadjoint>_n<n>).
 ORACLE_SNIPPET = """
@@ -184,20 +191,23 @@ def _multiplies(fn, A):
 
 
 def det_cases():
-    """Best-of-DET_REPEATS milliseconds of the permutation double sums, and
-    the ring multiplies of each."""
+    """Best-of-DET_REPEATS milliseconds of the permutation double sums and
+    the adjoint chains, and the ring multiplies of each."""
     algebra = GrassmannAlgebra(4, QQ)
     cases = []
+    dense = {}
     for n in DET_SIZES:
         rng = random.Random(3000 + n)
-        A = Matrix(algebra, [[algebra.random_element(rng) for _ in range(n)]
-                             for _ in range(n)])
-        cases += [(f"{name}_n{n}", name, A) for name in ("sdet", "preadjoint")]
+        A = dense[n] = Matrix(algebra, [[algebra.random_element(rng)
+                                         for _ in range(n)] for _ in range(n)])
+        cases += [(f"{name}_n{n}", getattr(dets, name), A)
+                  for name in ("sdet", "preadjoint")]
     sparse = _sparse_matrix(algebra, random.Random(3100 + SPARSE_N), SPARSE_N)
-    cases.append((f"sdet_sparse_n{SPARSE_N}", "sdet", sparse))
+    cases.append((f"sdet_sparse_n{SPARSE_N}", dets.sdet, sparse))
+    cases += [(f"{name}_n{CHAIN_N}", fn, dense[CHAIN_N])
+              for name, fn in CHAINS.items()]
     out, multiplies = {}, {}
-    for label, name, A in cases:
-        fn = getattr(dets, name)
+    for label, fn, A in cases:
         best = float("inf")
         for _ in range(DET_REPEATS):
             t0 = time.perf_counter()

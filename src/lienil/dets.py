@@ -11,12 +11,22 @@ halves, its first m - m // 2 factors and its last m // 2, and a call
 multiplies out each distinct half once.  With no zero entry or product,
 sdet at n = 5 makes 22000 ring multiplies, where multiplying out every
 term would make 57600.
+
+An adjoint chain builds its first k - 1 products in full, since each one's
+preadjoint is the next step.  rdet, ldet and charpoly read only the trace
+of the k-th, so it is never built: tr(L R) = sum_i sum_j L_ij R_ji takes
+n^2 ring multiplies where L R takes n^3.  ``adjoint_sequence`` runs the same
+steps and then builds the k-th product.  The Cayley-Hamilton residual and
+the integrality residuals substitute into a polynomial by Horner's rule
+(``rings.substitute``): from the top coefficient down, acc = x acc + c on
+the right and acc = acc x + c on the left.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from functools import cache
+from itertools import permutations, product
 
 from .matrices import Matrix, MatrixError
 from .parallel import map_reduce_sum
@@ -26,9 +36,11 @@ from .rings import (CostCapError, PolynomialRing, RingError,
 MAX_N = 5                 # the (n!)^2 enumerations stop here
 # An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
 # degree n^k in the entries of A.  At g = 4, on a sampled example-5.2
-# member, charpoly takes 3.9 s at n=5, k=3 and 16 s at n=2, k=9; rdet at
-# n=5, k=3 takes 0.9 s on random unit entries.  The next degree at n=5,
-# 5^4 = 625, ran over 90 s when this cap was set.  A 1x1 chain does
+# member (seed 1), charpoly takes 2.7 s at n=5, k=3 and 17 s at n=2, k=9;
+# rdet at n=5, k=3 takes 0.7 s on random unit entries (seed 1); CPython
+# 3.11 on one core of an x86-64 host.  The n=2 member's chain products are
+# diagonal, so tracing the last one saves nothing there.  The next degree
+# at n=5, 5^4 = 625, ran over 90 s when this cap was set.  A 1x1 chain does
 # constant work per step; k <= 512 holds it under 50 ms.
 MAX_DEGREE = 512
 
@@ -57,6 +69,13 @@ def _sign(perm):
     return -1 if inv & 1 else 1
 
 
+@cache
+def _signed_permutations(n):
+    """The n! permutations of range(n), each with its sign, in the order
+    ``itertools.permutations`` makes them; built once per n."""
+    return tuple((p, _sign(p)) for p in permutations(range(n)))
+
+
 def _product(factors, ring):
     """The nonzero factors multiplied in order from the first (an empty
     product is ``ring.one``), stopping at a zero partial product: a zero
@@ -77,9 +96,11 @@ def _pair_sum(A, fixed=None):
     is left out of the product.
 
     The pairs are generated lazily.  A's zero pattern is read once: a pair
-    that meets a zero entry is the term ``ring.zero`` with no ring multiply.
-    The m positions split into the last m // 2 and the ones before them,
-    and any other term is the product of its two halves.  The factors of a
+    that meets a zero entry costs no ring multiply.  A pair whose term is
+    zero (a zero entry, half or product) gives None, which the sum skips
+    without a ring element's truth test.  The m positions split into the
+    last m // 2 and the ones before them, and any other term is the product
+    of its two halves.  The factors of a
     half depend only on alpha's rows and beta's columns at its positions,
     so each distinct half is multiplied out once per call and looked up
     after that.  Every product starts from its first factor and stops at a
@@ -88,7 +109,7 @@ def _pair_sum(A, fixed=None):
     as in the 1x1 preadjoint, it is the empty product ``ring.one``."""
     n = A.nrows
     ring, rows = A.ring, A.rows
-    perms = [(p, _sign(p)) for p in permutations(range(n))]
+    perms = _signed_permutations(n)
     alphas = betas = perms
     positions = list(range(n))
     if fixed is not None:
@@ -113,13 +134,12 @@ def _pair_sum(A, fixed=None):
     for ts in (positions[:-k], positions[-k:]) if k else (positions,):
         mask = sum((1 << n) - 1 << n * t for t in ts)
         halves.append((ts, mask | mask << up, {}))
-    pairs = ((a, b) for a in alphas for b in betas)
     zero = ring.zero
 
     def term(item):
         (pa, sa, zeros, bits), (pb, sb, picks) = item
         if zeros & picks:
-            return zero
+            return None
         bits |= picks
         prod = None
         for ts, mask, cache in halves:
@@ -129,13 +149,13 @@ def _pair_sum(A, fixed=None):
                 part = cache[key] = _product(
                     [rows[pa[t]][pb[t]] for t in ts], ring)
             if part is zero:
-                return zero
+                return None
             prod = part if prod is None else prod * part
         if not prod:
-            return zero
+            return None
         return prod if sa * sb > 0 else -prod
 
-    return map_reduce_sum(pairs, term, zero)
+    return map_reduce_sum(product(alphas, betas), term, zero)
 
 
 def sdet(A):
@@ -189,9 +209,11 @@ class AdjointSequence:
         self.products = products    # A P_1...P_j (resp. Q_j...Q_1 A), j=1..k
 
 
-def adjoint_sequence(A, k, side="right"):
-    """Right: P_1 = A*, P_{j+1} = (A P_1...P_j)*.
-    Left: Q_1 = A*, Q_{j+1} = (Q_j...Q_1 A)*."""
+def _chain(A, k, side):
+    """The adjoint chain of A up to its k-th product, which is left unbuilt:
+    P_1..P_k, the first k - 1 products, and the two factors whose product
+    is the k-th (A P_1...P_{k-1} and P_k on the right, P_k and
+    Q_{k-1}...Q_1 A on the left)."""
     if side not in ("right", "left"):
         raise RingError("side must be 'right' or 'left'")
     if k < 1:
@@ -199,23 +221,42 @@ def adjoint_sequence(A, k, side="right"):
     _require_square(A, "adjoint chain")
     _require_chain(A.nrows, k)
     adjoints, products = [], []
-    product = A
-    for _ in range(k):
-        adjoints.append(preadjoint(product))
-        product = (product * adjoints[-1] if side == "right"
-                   else adjoints[-1] * product)
-        products.append(product)
-    return AdjointSequence(side, adjoints, products)
+    last = A
+    for j in range(k):
+        if j:
+            last = left * right
+            products.append(last)
+        adjoints.append(preadjoint(last))
+        left, right = ((last, adjoints[-1]) if side == "right"
+                       else (adjoints[-1], last))
+    return adjoints, products, left, right
+
+
+def adjoint_sequence(A, k, side="right"):
+    """Right: P_1 = A*, P_{j+1} = (A P_1...P_j)*.
+    Left: Q_1 = A*, Q_{j+1} = (Q_j...Q_1 A)*."""
+    adjoints, products, left, right = _chain(A, k, side)
+    return AdjointSequence(side, adjoints, products + [left * right])
+
+
+def _chain_trace(A, k, side):
+    """tr of the k-th product of the chain, from its two factors:
+    tr(L R) = sum_i sum_j L_ij R_ji, n^2 ring multiplies where the product
+    takes n^3."""
+    _, _, left, right = _chain(A, k, side)
+    R = right.rows
+    return sum((a * R[j][i] for i, row in enumerate(left.rows)
+                for j, a in enumerate(row)), A.ring.zero)
 
 
 def rdet(A, k):
     """tr(A P_1 ... P_k)."""
-    return adjoint_sequence(A, k).products[-1].trace()
+    return _chain_trace(A, k, "right")
 
 
 def ldet(A, k):
     """tr(Q_k ... Q_1 A)."""
-    return adjoint_sequence(A, k, "left").products[-1].trace()
+    return _chain_trace(A, k, "left")
 
 
 def leading_coefficient_value(n, k):
@@ -255,7 +296,7 @@ def charpoly(A, k, side="right"):
     lifted = A.map_entries(rz.constant, ring=rz)
     zI = Matrix.identity(rz, n) * rz.z
     B = zI - lifted
-    value = adjoint_sequence(B, k, side).products[-1].trace()
+    value = _chain_trace(B, k, side)
     deg = n ** k
     coeffs = [value.coeff(i) for i in range(deg + 1)]
     lead = ring.from_scalar(leading_coefficient_value(n, k))

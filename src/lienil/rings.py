@@ -295,11 +295,19 @@ class RPolynomial(RingElement):
             return NotImplemented
         if not self.coeffs or not o.coeffs:
             return self.ring.zero
-        out = [self.base.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
+        # Zero coefficients are skipped; an output coefficient starts from
+        # its first product, and one that no product reaches is zero.
+        out = [None] * (len(self.coeffs) + len(o.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(o.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return self.ring.element(out)
+            if not a:
+                continue
+            for j, b in right:
+                p = a * b
+                s = out[i + j]
+                out[i + j] = p if s is None else s + p
+        zero = self.base.zero
+        return self.ring.element([zero if c is None else c for c in out])
 
     def _scalar(self):
         return self.coeff(0) if len(self.coeffs) < 2 else None
@@ -314,13 +322,18 @@ class RPolynomial(RingElement):
 def substitute(coeffs, x, one, side):
     """Sum x^i c_i (side "right") or c_i x^i (side "left") over the
     coefficients c_0, c_1, ..., with x^0 = one; x may be a ring element or a
-    square matrix, with one its identity."""
+    square matrix, with one its identity.
+
+    By Horner's rule from the top coefficient down: acc = x acc + c on the
+    right and acc = acc x + c on the left, so x^i c_i = x (x^(i-1) c_i) keeps
+    each coefficient on its side.  Each c is lifted through ``one`` (one c,
+    resp. c one), the top one starts acc, and no power of x is built."""
     acc = one - one
-    power = one
-    for i, c in enumerate(coeffs):
+    for i, c in enumerate(reversed(coeffs)):
+        c = one * c if side == "right" else c * one
         if i:
-            power = power * x
-        acc = acc + (power * c if side == "right" else c * power)
+            c = (x * acc if side == "right" else acc * x) + c
+        acc = c
     return acc
 
 

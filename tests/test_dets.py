@@ -250,6 +250,66 @@ def test_rdet_recursion():
     assert rdet(A, 1) == sdet(A) and ldet(A, 1) == sdet(A)
 
 
+def chain_cases():
+    """Square matrices over a Grassmann ring, over R[z] (z I - A) and over
+    the oracle ring, named by their ids."""
+    _, A = grassmann_matrix(4, 3, 5)
+    E, C = grassmann_matrix(3, 2, 8)
+    rz = PolynomialRing(E)
+    B = Matrix.identity(rz, 2) * rz.z - C.map_entries(rz.constant, ring=rz)
+    _, S = symbolic_matrix(2)
+    return [pytest.param(A, id="grassmann"), pytest.param(B, id="rz"),
+            pytest.param(S, id="oracle")]
+
+
+@pytest.mark.parametrize("A", chain_cases())
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_traced_chain_end_matches_sequence(A, k):
+    """rdet and ldet trace the last product from its two factors; the
+    sequence builds it.  Both give the same trace."""
+    for fn, side in ((rdet, "right"), (ldet, "left")):
+        seq = adjoint_sequence(A, k, side)
+        assert len(seq.adjoints) == len(seq.products) == k
+        assert fn(A, k) == seq.products[-1].trace()
+
+
+def test_chain_multiplies(monkeypatch):
+    """Grassmann multiplies of rdet(A, 2) and charpoly(A, 1) on a dense
+    3x3 matrix, whose last product is traced, not built.
+
+    rdet(A, 2): a 3x3 preadjoint entry is a sum over 2 x 2 pairs, each one
+    product of two entries, so a preadjoint without zero entries takes 36.
+    P_1 = A* (36), A P_1 in full (27), P_2 = (A P_1)* (36), and the trace of
+    A P_1 P_2, sum_i sum_j (A P_1)_ij (P_2)_ji (9): 108, where building the
+    last product takes 27 (126).
+
+    charpoly(A, 1) sums over R[z], where a product of two polynomials makes
+    one Grassmann multiply per pair of nonzero coefficients.  z I takes 3
+    (1 times z on the diagonal).  The entries of B = z I - A have 2 nonzero
+    coefficients on the diagonal and 1 off it.  In a diagonal entry of B*
+    two pairs multiply two diagonal entries (4 each) and two multiply two
+    off-diagonal ones (1 each): 10, 30 for three.  In an off-diagonal one
+    two pairs meet one diagonal entry (2 each) and two meet none (1 each):
+    6, 36 for six.  B* has degree 2 with 3 nonzero coefficients on the
+    diagonal and degree 1 with 2 off it, so tr(B B*) takes 3 (2 * 3) + 6
+    (1 * 2) = 30: 3 + 66 + 30 = 99.  Building B B* would take
+    sum_j (2 + 1 + 1)(3 + 2 + 2) = 84 (156 in all, where the zero
+    coefficient of z also made a multiply)."""
+    _, A = grassmann_matrix(4, 3, 17)
+    assert all(x for row in A.rows for x in row)
+    assert all(x for row in (A * preadjoint(A)).rows for x in row)
+    _, calls = count_multiplies(monkeypatch, lambda A: rdet(A, 2), A)
+    assert calls == 108
+    rz = PolynomialRing(A.ring)
+    B = Matrix.identity(rz, 3) * rz.z - A.map_entries(rz.constant, ring=rz)
+    adj = preadjoint(B)
+    assert all(all(adj.rows[i][j].coeffs) and
+               len(adj.rows[i][j].coeffs) == (3 if i == j else 2)
+               for i in range(3) for j in range(3))
+    _, calls = count_multiplies(monkeypatch, lambda A: charpoly(A, 1), A)
+    assert calls == 99
+
+
 def test_leading_coefficient_closed_form():
     assert leading_coefficient_value(2, 1) == 2
     assert leading_coefficient_value(2, 2) == 2      # 2 * 1^(1+2)

@@ -90,6 +90,55 @@ def test_polynomial_substitution_sides():
     assert right != left
 
 
+def power_sum(coeffs, x, one, side):
+    """Sum x^i c_i (right) or c_i x^i (left), building every power of x."""
+    acc, power = one - one, one
+    for c in coeffs:
+        acc = acc + (power * c if side == "right" else c * power)
+        power = power * x
+    return acc
+
+
+def substitution_cases():
+    """(x, one, coefficient draw) over a ring and over 2x2 matrices."""
+    E = GrassmannAlgebra(4, QQ)
+    rng = random.Random(31)
+
+    def draw():
+        return E.random_element(rng) + rng.randrange(-2, 3)
+
+    X = Matrix(E, [[draw() for _ in range(2)] for _ in range(2)])
+    return [pytest.param(draw(), E.one, draw, id="element"),
+            pytest.param(X, Matrix.identity(E, 2), draw, id="matrix")]
+
+
+@pytest.mark.parametrize("x, one, draw", substitution_cases())
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("length", [0, 1, 5])
+def test_horner_substitution_matches_power_sum(x, one, draw, side, length):
+    coeffs = [draw() for _ in range(length)]
+    value = substitute(coeffs, x, one, side)
+    assert value == power_sum(coeffs, x, one, side)
+    if length == 0:
+        assert value == one - one
+
+
+def test_polynomial_product_skips_zero_coefficients():
+    """Products of R[z] elements with zero inner coefficients, against the
+    coefficient convolution written out."""
+    E = GrassmannAlgebra(3, QQ)
+    Rz = PolynomialRing(E)
+    v1, v2, v3 = (E.generator(i) for i in (1, 2, 3))
+    p = Rz.element([v1, E.zero, E.zero, v2])      # v1 + v2 z^3
+    q = Rz.element([E.zero, v2, E.one])           # v2 z + z^2
+    assert p * q == Rz.element([E.zero, v1 * v2, v1, E.zero, v2 * v2, v2])
+    assert q * p == Rz.element([E.zero, v2 * v1, v1, E.zero, v2 * v2, v2])
+    # v1 v2 z + v2 v1 z: a coefficient whose products cancel is trimmed
+    r = Rz.element([E.zero, v1])
+    assert r * Rz.element([v2]) + Rz.element([v2]) * r == Rz.zero
+    assert p * Rz.zero == Rz.zero and Rz.zero * p == Rz.zero
+
+
 def test_extend_endomorphism_to_poly():
     E = GrassmannAlgebra(2, QQ)
     eps_z = extend_endomorphism_to_poly(epsilon(E))
