@@ -80,7 +80,7 @@ ORACLE_REPEATS = 3
 # One timed oracle call (argv[1]: criterion_3 or <sdet|preadjoint>_n<n>).
 ORACLE_SNIPPET = """
 import sys, time
-from lienil import Matrix, dets, oracle_ring
+from lienil import Matrix, OracleRing, dets
 from lienil.acceptance import criterion_3_oracle_equivalence
 what = sys.argv[1]
 if what == "criterion_3":
@@ -89,7 +89,7 @@ if what == "criterion_3":
 else:
     name, n = what.split("_n")
     n = int(n)
-    ring = oracle_ring([f"a{i}{j}" for i in range(n) for j in range(n)])
+    ring = OracleRing([f"a{i}{j}" for i in range(n) for j in range(n)])
     A = Matrix(ring, [[ring.var(f"a{i}{j}") for j in range(n)]
                       for i in range(n)])
     t0 = time.perf_counter()

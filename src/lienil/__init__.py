@@ -18,7 +18,7 @@ _MODULE_OF = {name: module for module, names in {
              "PolynomialRing RingError RPolynomial classical_adj "
              "classical_det commutator extend_endomorphism_to_poly "
              "fixed_ring_member is_lie_nilpotent_index "
-             "left_normed_commutator oracle_ring",
+             "left_normed_commutator",
     "grassmann": "ComponentBasis GrassmannAlgebra GrassmannElement epsilon "
                  "graded_component_basis rho sigma sigma_inverse "
                  "solve_constraint",

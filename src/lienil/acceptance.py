@@ -18,7 +18,7 @@ from .matrices import (Matrix, blow_up, factor_transitive, hadamard,
                        is_transitive, matrix_units_counterexample, theta,
                        theta_inverse, transitive_from_units,
                        transitive_square)
-from .rings import classical_adj, classical_det, fixed_ring_member, oracle_ring
+from .rings import OracleRing, classical_adj, classical_det, fixed_ring_member
 from .scalars import QQ, CyclotomicField
 from .serialize import canonical_report
 from .supermatrix import (check_embedding_conditions, example_5_1,
@@ -111,7 +111,7 @@ def criterion_3_oracle_equivalence():
     details = {}
     for n in (2, 3, 4):
         names = [f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-        R = oracle_ring(names)
+        R = OracleRing(names)
         A = Matrix(R, [[R.var(f"a{i}{j}") for j in range(1, n + 1)]
                        for i in range(1, n + 1)])
         nfact = math.factorial(n)

@@ -104,10 +104,13 @@ class Ring:
     """Base contract: unital ring over a scalar field, with exact equality.
     A subclass sets, in ``__init__``, ``params`` (the tuple that rings of
     its type compare and hash by) and its ``zero`` and ``one``, built once.
-    It defines ``from_scalar(c)`` (embed a field scalar, int or Fraction),
-    ``is_central(x)``, ``try_invert(x)`` (the inverse, or None if x is not
-    a unit or it is undecided), ``generating_set()`` (the elements that
-    validate an endomorphism) and ``random_element(rng)``."""
+    It defines ``from_scalar(c)`` (embed a field scalar, int or Fraction).
+    The rings that matrices and supermatrix specs are built over, the
+    Grassmann algebra and the oracle, also define ``is_central(x)``,
+    ``try_invert(x)`` (the inverse, or None if x is not a unit or it is
+    undecided), ``generating_set()`` (the elements that validate an
+    endomorphism) and ``random_element(rng)``.  R[z], which holds
+    characteristic polynomials, defines only ``from_scalar``."""
 
     field = QQ
 
@@ -234,22 +237,6 @@ class PolynomialRing(Ring):
 
     def from_scalar(self, c):
         return self.constant(self.base.from_scalar(c))
-
-    def is_central(self, p):
-        return all(self.base.is_central(c) for c in p.coeffs)
-
-    def try_invert(self, p):
-        if p.degree != 0:
-            return None
-        inv = self.base.try_invert(p.coeffs[0])
-        return None if inv is None else self.constant(inv)
-
-    def generating_set(self):
-        return [self.constant(g) for g in self.base.generating_set()] + [self.z]
-
-    def random_element(self, rng):
-        deg = rng.randrange(0, 3)
-        return self.element([self.base.random_element(rng) for _ in range(deg + 1)])
 
 
 class RPolynomial(RingElement):
@@ -626,9 +613,6 @@ class OracleElement(RingElement):
 
     def __repr__(self):
         return f"OracleElement({self})"
-
-
-oracle_ring = OracleRing
 
 
 def classical_det(A):

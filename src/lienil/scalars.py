@@ -1,7 +1,9 @@
 """Exact base-field arithmetic: rationals and cyclotomic extensions Q(zeta_n).
 
 A cyclotomic field of order n is the quotient Q[x]/(Phi_n) where Phi_n is
-the n-th cyclotomic polynomial, of degree d = phi(n).  An element is stored
+the n-th cyclotomic polynomial, of degree d = phi(n), computed over the
+integers; every polynomial step here is integer arithmetic, and the tests
+check the field operations against sympy.  An element is stored
 as d integer numerators over one positive common denominator, in lowest
 terms, so equal elements have equal numerators and denominators.  Equal
 values are handed out as shared instances.  Products reduce through a
@@ -42,85 +44,39 @@ def _check_order(n):
         raise OrderCapError(f"order {n} exceeds the cap {MAX_ORDER}")
 
 
-# --- exact polynomial helpers over Fraction, ascending coefficient order ---
+# --- integer polynomials, ascending coefficient order ---
 
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    """Exact division with remainder; b need not be monic."""
-    a = _trim(a)
-    b = _trim(b)
-    if not b:
-        raise ScalarError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b):
-        f = r[-1] / lead
-        d = len(r) - len(b)
-        q[d] = f
-        for i, bi in enumerate(b):
-            r[i + d] -= f * bi
-        r = _trim(r)
-    return _trim(q), r
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _divmod_monic(num, phi):
+    """Quotient and remainder of ``num`` by the monic ``phi``, both integer
+    polynomials, by synthetic division; the remainder has len(phi) - 1
+    entries when ``num`` has at least that many."""
+    d = len(phi) - 1
+    r = list(num)
+    q = [0] * max(len(r) - d, 0)
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k]
+        if c:
+            q[k - d] = c
+            for i in range(d):          # r -= c x^(k-d) phi, leaving r[k]
+                r[k - d + i] -= c * phi[i]
+    return q, r[:d]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Phi_n as a tuple of Fractions, ascending powers, monic.
+    """Phi_n as a tuple of ints, ascending powers, monic.
 
     Computed by exact division of x^n - 1 by the Phi_d of proper divisors.
     """
     if n < 1:
         raise ScalarError("cyclotomic order must be >= 1")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in _divisors(n):
-        if d == n:
-            continue
-        num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-        if rem:
-            raise ScalarError("cyclotomic division left a remainder")
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ScalarError("cyclotomic division left a remainder")
     return tuple(num)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _ext_gcd_poly(a, b):
-    """Extended Euclid over Fraction[x]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = _trim(a), _trim(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-    return r0, u0, v0
 
 
 # --- integer vectors modulo Phi_n ---
@@ -128,7 +84,7 @@ def _ext_gcd_poly(a, b):
 def _powers_mod(phi, count):
     """x^k mod phi for k < count, as integer vectors; phi is monic over Z."""
     d = len(phi) - 1
-    top = [-int(c) for c in phi[:d]]     # x^d = top (mod phi)
+    top = [-c for c in phi[:d]]          # x^d = top (mod phi)
     out = []
     for k in range(count):
         if k < d:
@@ -215,10 +171,10 @@ class CyclotomicField:
     def element(self, coeffs):
         """Build an element from ascending Fraction coefficients (any length)."""
         c = [Fraction(x) for x in coeffs]
-        if len(c) > self.degree:
-            _, c = _poly_divmod(c, list(self.modulus))
         den = lcm(*(x.denominator for x in c))
         num = [x.numerator * (den // x.denominator) for x in c]
+        if len(num) > self.degree:
+            num = _divmod_monic(num, self.modulus)[1]
         return _make(self, num + [0] * (self.degree - len(num)), den)
 
     def from_fraction(self, q):

@@ -6,19 +6,19 @@ import random
 import pytest
 
 from lienil import (CostCapError, CyclotomicField, GrassmannAlgebra,
-                    GrassmannElement, Matrix, PolynomialRing, QQ, RingError,
-                    adjoint_sequence, cayley_hamilton_check, charpoly,
-                    classical_adj, classical_det, epsilon,
+                    GrassmannElement, Matrix, OracleRing, PolynomialRing, QQ,
+                    RingError, adjoint_sequence, cayley_hamilton_check,
+                    charpoly, classical_adj, classical_det, epsilon,
                     integrality_certificate, ldet, leading_coefficient_value,
-                    oracle_ring, preadjoint, preadjoint_via_minors, rdet,
-                    sdet, sdet_first_form)
+                    preadjoint, preadjoint_via_minors, rdet, sdet,
+                    sdet_first_form)
 from lienil.parallel import map_reduce_sum
 from lienil.supermatrix import example_5_1, sample_supermatrix, shape
 
 
 def symbolic_matrix(n):
     names = [f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-    R = oracle_ring(names)
+    R = OracleRing(names)
     A = Matrix(R, [[R.var(f"a{i}{j}") for j in range(1, n + 1)]
                    for i in range(1, n + 1)])
     return R, A

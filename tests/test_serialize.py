@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lienil import CyclotomicField, GrassmannAlgebra, Matrix, QQ, oracle_ring
+from lienil import CyclotomicField, GrassmannAlgebra, Matrix, OracleRing, QQ
 from lienil.serialize import (SerializationError, delta_from_json,
                               delta_to_json, element_from_json,
                               element_to_json, grassmann_from_json,
@@ -51,7 +51,7 @@ def test_matrix_round_trip():
 
 
 def test_oracle_round_trip():
-    R = oracle_ring(["x", "y"])
+    R = OracleRing(["x", "y"])
     x = R.parse("x**2 - 3*y + 1")
     assert element_from_json(R, element_to_json(x)) == x
 
@@ -59,7 +59,7 @@ def test_oracle_round_trip():
 def test_ring_round_trip():
     for ring in (GrassmannAlgebra(3, CyclotomicField(4)),
                  GrassmannAlgebra(0, QQ),
-                 oracle_ring(["a", "b"])):
+                 OracleRing(["a", "b"])):
         assert ring_from_json(ring_to_json(ring)) == ring
     with pytest.raises(SerializationError):
         ring_from_json({"type": "mystery"})
