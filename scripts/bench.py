@@ -4,9 +4,14 @@ and of a cold CLI.
 
 Prints microseconds per operation for ``Cyc`` multiplication, addition and
 inverse over Q(zeta_n) at n = 1, 3, 4, 5, and for Grassmann multiplication
-at g = 4 and 8 over Q.  Operands come from fixed seeds, so two checkouts
-time the same inputs.  Each figure is the best of several repeats of a
-loop over a fixed pool of operands.
+at g = 4 and 8 over Q, Q(zeta3) and Q(zeta5) (rows suffixed ``_n3`` and
+``_n5``).  There are three Grassmann pools, with integer coefficients:
+``grassmann_mul`` multiplies random 4-term (g = 4) or 12-term (g = 8)
+elements, ``grassmann_one_dense`` a one-term element and one on every
+monomial (in either order), and ``grassmann_three`` two 3-term elements.
+Operands come from fixed seeds, so two checkouts time the same inputs.
+Each figure is the best of several repeats of a loop over a fixed pool of
+operands.
 
 The determinant section prints the milliseconds of ``sdet`` and
 ``preadjoint`` on a seeded n x n matrix of random g = 4 Grassmann elements
@@ -66,6 +71,7 @@ from lienil.scalars import QQ, CyclotomicField  # noqa: E402
 
 ORDERS = (1, 3, 4, 5)
 GENERATORS = (4, 8)
+GRASSMANN_ORDERS = (1, 3, 5)
 POOL = 64
 REPEATS = 9
 DET_SIZES = (3, 4, 5)
@@ -142,18 +148,39 @@ def scalar_cases(order):
     }
 
 
-def grassmann_cases(g):
-    algebra = GrassmannAlgebra(g, QQ)
-    rng = random.Random(2000 + g)
+def grassmann_cases(g, order):
+    """Grassmann products over Q(zeta_order) with integer coefficients in
+    -5..5: the pool of 4-term (g = 4) or 12-term (g = 8) operands, one-term
+    times dense operands (in either order) and 3-term times 3-term
+    operands."""
+    algebra = GrassmannAlgebra(g, CyclotomicField(order))
+    field = algebra.field
+    rng = random.Random(2000 + g + 100 * (order - 1))
+
+    def coefficient():
+        return field.element([rng.randint(-5, 5)
+                              for _ in range(field.degree)])
+
+    def element(masks):
+        return algebra.element({m: coefficient() for m in masks})
+
     terms = 4 if g == 4 else 12
-    xs = []
-    for _ in range(POOL // 4):
-        coeffs = {}
-        for _ in range(terms):
-            coeffs[rng.randrange(algebra.dim)] = rng.randint(-5, 5)
-        xs.append(algebra.element(coeffs))
-    pairs = list(zip(xs, xs[1:] + xs[:1]))
-    return {f"grassmann_mul_g{g}": _best_us(lambda a, b: a * b, pairs, 3)}
+    xs = [algebra.element({rng.randrange(algebra.dim): coefficient()
+                           for _ in range(terms)}) for _ in range(POOL // 4)]
+    mixed = list(zip(xs, xs[1:] + xs[:1]))
+    one_dense = []
+    for i in range(POOL // 4):
+        one = element([rng.randrange(algebra.dim)])
+        dense = element(algebra.basis_masks())
+        one_dense.append((one, dense) if i % 2 else (dense, one))
+    three = [(element(rng.sample(range(algebra.dim), 3)),
+              element(rng.sample(range(algebra.dim), 3)))
+             for _ in range(POOL // 4)]
+    suffix = f"g{g}" if order == 1 else f"g{g}_n{order}"
+    return {f"grassmann_{name}_{suffix}": _best_us(lambda a, b: a * b,
+                                                   pairs, 3)
+            for name, pairs in (("mul", mixed), ("one_dense", one_dense),
+                                ("three", three))}
 
 
 def _sparse_matrix(algebra, rng, n):
@@ -291,8 +318,9 @@ def main(argv=None):
     us = {}
     for order in ORDERS:
         us.update(scalar_cases(order))
-    for g in GENERATORS:
-        us.update(grassmann_cases(g))
+    for order in GRASSMANN_ORDERS:
+        for g in GENERATORS:
+            us.update(grassmann_cases(g, order))
     for name, value in us.items():
         print(f"{name:<24} {value:9.2f} us/op")
     det_ms, det_muls = det_cases()

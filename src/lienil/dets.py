@@ -36,9 +36,9 @@ from .rings import (CostCapError, PolynomialRing, RingError,
 MAX_N = 5                 # the (n!)^2 enumerations stop here
 # An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
 # degree n^k in the entries of A.  At g = 4, on a sampled example-5.2
-# member (seed 1), charpoly takes 2.7 s at n=5, k=3 and 17 s at n=2, k=9;
-# rdet at n=5, k=3 takes 0.7 s on random unit entries (seed 1); CPython
-# 3.11 on one core of an x86-64 host.  The n=2 member's chain products are
+# member (seed 1), charpoly takes about 2 s at n=5, k=3 and 8 s at n=2,
+# k=9; rdet at n=5, k=3 takes about 0.6 s on random unit entries (seed 1);
+# CPython 3.11 on one core of an x86-64 host.  The n=2 member's chain products are
 # diagonal, so tracing the last one saves nothing there.  The next degree
 # at n=5, 5^4 = 625, ran over 90 s when this cap was set.  A 1x1 chain does
 # constant work per step; k <= 512 holds it under 50 ms.

@@ -1,17 +1,28 @@
 """Grassmann (exterior) algebra on g anticommuting generators.
 
 Elements are sparse maps from generator-index subsets (bitmasks) to nonzero
-field scalars.  The paper-style components live here too: homogeneous parts,
-even/odd decomposition, the root-of-unity grading, and a linear-constraint
-solver that computes bases of {x : delta(x) = t*x} by exact elimination.
+field scalars.  A product of two elements with several terms each reads
+every coefficient as integer numerators over the operand's common
+denominator, sums the signed products of each output monomial as one int
+(over Q) or as one unreduced vector of 2 phi(n) - 1 ints (folded modulo
+Phi_n once), and builds one shared ``Cyc`` per nonzero output monomial.  A
+product with a one-term operand makes one ``Cyc`` product per disjoint
+pair: its output monomials are distinct, so nothing is summed.  A field
+scalar scales each coefficient.  The paper-style components live here too:
+homogeneous parts, even/odd decomposition, the root-of-unity grading, and a
+linear-constraint solver that computes bases of {x : delta(x) = t*x} by
+exact elimination.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import linalg
 from .rings import (SCALARS, ContextMismatchError, CostCapError,
-                    Endomorphism, Ring, RingElement, RingError)
-from .scalars import QQ
+                    Endomorphism, Ring, RingElement, RingError,
+                    check_same_ring)
+from .scalars import QQ, _fold, _make
 
 SOLVER_CAP = 12  # solve_constraint materializes a 2^g x 2^g matrix
 
@@ -184,26 +195,79 @@ class GrassmannElement(RingElement):
         return GrassmannElement(self.ring, {m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        ring, a = self.ring, self.coeffs
+        if type(other) is not GrassmannElement:
+            if not isinstance(other, SCALARS):
+                return NotImplemented
+            c = ring.coerce_scalar(other)
+            if not a or not c:
+                return ring.zero
+            return GrassmannElement(ring, {m: x * c for m, x in a.items()})
+        if other.ring is not ring:
+            check_same_ring(self, other)
+        b = other.coeffs
+        if not a or not b:
+            return ring.zero
         out = {}
-        for ma, ca in self.coeffs.items():
+        if len(a) == 1 or len(b) == 1:
+            # distinct disjoint monomials give distinct products, and a
+            # field has no zero divisors: one Cyc product per pair
+            for ma, ca in a.items():
+                hops = _hops(ma)
+                for mb, cb in b.items():
+                    if not ma & mb:
+                        c = ca * cb
+                        out[ma | mb] = -c if (mb & hops).bit_count() & 1 else c
+            return GrassmannElement(ring, out)
+        # integer numerators over one common denominator per operand
+        da = db = 1
+        for c in a.values():
+            if da % c.den:
+                da = lcm(da, c.den)
+        for c in b.values():
+            if db % c.den:
+                db = lcm(db, c.den)
+        field = ring.field
+        if field.degree == 1:
+            tb = [(mb, c.num[0] * (db // c.den)) for mb, c in b.items()]
+            for ma, c in a.items():
+                x = c.num[0] * (da // c.den)
+                hops = _hops(ma)
+                for mb, y in tb:
+                    if not ma & mb:
+                        m = ma | mb
+                        if (mb & hops).bit_count() & 1:
+                            out[m] = out.get(m, 0) - x * y
+                        else:
+                            out[m] = out.get(m, 0) + x * y
+            return GrassmannElement(ring, {
+                m: _make(field, [s], da * db) for m, s in out.items() if s})
+        tb = [(mb, c.num if c.den == db else [y * (db // c.den) for y in c.num])
+              for mb, c in b.items()]
+        width = 2 * field.degree - 1
+        for ma, c in a.items():
+            x = c.num if c.den == da else [y * (da // c.den) for y in c.num]
             hops = _hops(ma)
-            for mb, cb in o.coeffs.items():
-                if ma & mb:
-                    continue
-                m = ma | mb
-                c = ca * cb
-                if (mb & hops).bit_count() & 1:
-                    c = -c
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return GrassmannElement(self.ring, out)
+            for mb, y in tb:
+                if not ma & mb:
+                    m = ma | mb
+                    acc = out.get(m)
+                    if acc is None:
+                        acc = out[m] = [0] * width
+                    neg = (mb & hops).bit_count() & 1
+                    for i, xi in enumerate(x):
+                        if xi:
+                            if neg:
+                                xi = -xi
+                            for j, yj in enumerate(y, i):
+                                acc[j] += xi * yj
+        # each output monomial is reduced modulo Phi_n once
+        den, coeffs = da * db, {}
+        for m, acc in out.items():
+            num = _fold(acc, field._reduce)
+            if any(num):
+                coeffs[m] = _make(field, num, den)
+        return GrassmannElement(ring, coeffs)
 
     def _scalar(self):
         return None if self.coeffs.keys() - {0} else self.scalar_part

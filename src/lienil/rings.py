@@ -126,7 +126,7 @@ class Ring:
             if c.field != self.field:
                 raise ContextMismatchError("scalar from a different field")
             return c
-        return self.field.from_fraction(Fraction(c))
+        return self.field.from_fraction(c)
 
 
 def commutator(x, y):

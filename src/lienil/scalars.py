@@ -99,21 +99,26 @@ def _powers_mod(phi, count):
     return out
 
 
-def _mul(a, b, reduce):
-    """Product of integer vectors a, b modulo Phi_n; ``reduce[k]`` is
-    x^(d+k) mod Phi_n."""
-    d = len(a)
-    out = [0] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                out[j] += ai * bj
+def _fold(out, reduce):
+    """The integer vector ``out`` of 2d - 1 coefficients modulo Phi_n, as d
+    coefficients; ``reduce[k]`` is x^(d+k) mod Phi_n."""
+    d = len(out) + 1 >> 1
     res = out[:d]
     for row, c in zip(reduce, out[d:]):
         if c:
             for j, r in enumerate(row):
                 res[j] += c * r
     return res
+
+
+def _mul(a, b, reduce):
+    """Product of integer vectors a, b modulo Phi_n."""
+    out = [0] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return _fold(out, reduce)
 
 
 def _make(field, num, den=1):

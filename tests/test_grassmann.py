@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lienil import (ComponentBasis, CyclotomicField, GrassmannAlgebra, QQ,
-                    RingError, epsilon, graded_component_basis, rho, sigma,
-                    sigma_inverse, solve_constraint)
-from lienil.grassmann import _hops
+from lienil import (ComponentBasis, ContextMismatchError, CyclotomicField,
+                    GrassmannAlgebra, QQ, RingError, epsilon,
+                    graded_component_basis, rho, sigma, sigma_inverse,
+                    solve_constraint)
+from lienil.grassmann import GrassmannElement, _hops
+from lienil.scalars import SHARED_VALUES, Cyc
 
 
 def test_generator_relations():
@@ -208,3 +211,105 @@ def test_associativity_and_distributivity(sa, sb, sc):
     assert x * (y + z) == x * y + x * z
     assert (x + y) * z == x * z + y * z
     assert x * E.one == x and E.one * x == x
+
+
+def pairwise_product(x, y):
+    """x * y by one Cyc product and one Cyc sum per disjoint pair of
+    monomials, dropping sums that cancel: the product route that the
+    integer-numerator product replaced, kept as its oracle."""
+    out = {}
+    for ma, ca in x.coeffs.items():
+        hops = _hops(ma)
+        for mb, cb in y.coeffs.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            c = ca * cb
+            if (mb & hops).bit_count() & 1:
+                c = -c
+            s = out.get(m)
+            s = c if s is None else s + c
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return out
+
+
+def product_operand(E, rng, kind):
+    """A zero, one-term, sparse or dense element, or an int, Fraction or
+    Cyc scalar.  Coefficients mix the denominators 1, 2, 3 and 6."""
+    def scalar():
+        return E.field.element([Fraction(rng.randint(-4, 4),
+                                         rng.choice((1, 2, 3, 6)))
+                                for _ in range(E.field.degree)])
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "Fraction":
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6)))
+    if kind == "Cyc":
+        return scalar()
+    terms = {"zero": 0, "one": 1, "sparse": rng.randint(2, 5),
+             "dense": E.dim}[kind]
+    masks = rng.sample(range(E.dim), min(terms, E.dim))
+    return E.element({m: scalar() for m in masks})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 3, 4, 5)), st.integers(0, 8),
+       st.sampled_from(("zero", "one", "sparse", "dense", "int", "Fraction",
+                        "Cyc")),
+       st.sampled_from(("zero", "one", "sparse", "dense")),
+       st.booleans(), st.integers(0, 10 ** 6))
+def test_product_matches_pairwise_oracle(order, g, kind, element_kind,
+                                         scalar_left, seed):
+    field = CyclotomicField(order)
+    E = GrassmannAlgebra(g, field)
+    rng = random.Random(seed)
+    if kind == "dense" and element_kind == "dense":
+        E = GrassmannAlgebra(min(g, 6), field)     # 4^g pairs per product
+    x = product_operand(E, rng, element_kind)
+    y = product_operand(E, rng, kind)
+    if isinstance(y, GrassmannElement):
+        pairs = [(x, y), (y, x)]
+    else:
+        lifted = E.from_scalar(y)
+        pairs = [(x, lifted)]
+    for a, b in pairs:
+        assert (a * b).coeffs == pairwise_product(a, b)
+    if not isinstance(y, GrassmannElement):
+        expected = pairwise_product(x, lifted)
+        product = y * x if scalar_left else x * y
+        assert product.coeffs == expected
+        products = [product]
+    else:
+        products = [a * b for a, b in pairs]
+    for p in products:
+        for c in p.coeffs.values():
+            assert type(c) is Cyc and c.field is field and c
+            assert type(c.num) is tuple and len(c.num) == field.degree
+            assert c.den > 0 and gcd(c.den, *c.num) == 1
+            # the instance that _make shares, while its table has room
+            shared = field._shared.get((c.num, c.den))
+            assert shared is c or (shared is None
+                                   and len(field._shared) >= SHARED_VALUES)
+
+
+def test_scalar_operand_from_another_field_is_refused():
+    E = GrassmannAlgebra(2, CyclotomicField(3))
+    x = E.generator(1) + E.one
+    with pytest.raises(ContextMismatchError):
+        x * CyclotomicField(4).e
+    with pytest.raises(ContextMismatchError):
+        CyclotomicField(4).e * x
+    assert (x * 0).coeffs == {} and (x * E.zero).coeffs == {}
+    assert (E.zero * x).coeffs == {}
+
+
+def test_product_drops_monomials_that_fold_to_zero():
+    # the v1v2 coefficient is 1 + x + x^2 before reduction, 0 in Q(zeta3)
+    E = GrassmannAlgebra(2, CyclotomicField(3))
+    e = E.field.e
+    x = E.element({0: 1, 1: e})
+    y = E.element({3: 1 + e, 2: e})
+    assert (x * y).coeffs == {2: e} == pairwise_product(x, y)
