@@ -8,19 +8,21 @@ at g = 4 and 8 over Q, Q(zeta3) and Q(zeta5) (rows suffixed ``_n3`` and
 ``_n5``).  There are three Grassmann pools, with integer coefficients:
 ``grassmann_mul`` multiplies random 4-term (g = 4) or 12-term (g = 8)
 elements, ``grassmann_one_dense`` a one-term element and one on every
-monomial (in either order), and ``grassmann_three`` two 3-term elements.
+monomial (in either order), and ``grassmann_three`` two 3-term elements;
+``grassmann_add`` adds the operands of ``grassmann_mul``.
 Operands come from fixed seeds, so two checkouts time the same inputs.
 Each figure is the best of several repeats of a loop over a fixed pool of
 operands.
 
 The determinant section prints the milliseconds of ``sdet`` and
 ``preadjoint`` on a seeded n x n matrix of random g = 4 Grassmann elements
-over Q, at n = 3, 4, 5, and of ``sdet`` on a seeded sparse 5 x 5 matrix
-at g = 4 (a unit diagonal; each off-diagonal entry is one monomial with
-probability 0.4, else zero), and of the adjoint chains on the n = 3
-matrix: ``rdet`` at k = 2, ``charpoly`` at k = 1 and the Cayley-Hamilton
-residual at k = 2 (``lienil rdet --k 2``, ``charpoly --k 1`` and
-``ch-check --k 2``).  Each is the best of three calls in this interpreter.
+over Q, at n = 3, 4, 5, of ``sdet`` and ``preadjoint`` on a seeded sparse
+5 x 5 matrix at g = 4 (a unit diagonal; each off-diagonal entry is one
+monomial with probability 0.4, else zero), of ``sdet`` on a seeded member
+of example 5.1 at n = 4, d = 2, g = 4 (det_stream's dearest class), and of
+the adjoint chains on the n = 3 matrix: ``rdet`` at k = 2, ``charpoly`` at
+k = 1 and the Cayley-Hamilton residual at k = 2 (``lienil rdet --k 2``,
+``charpoly --k 1`` and ``ch-check --k 2``).  Each is the best of three calls in this interpreter.
 Next to each time it prints the Grassmann ring multiplies of one more
 call, counted by wrapping ``GrassmannElement.__mul__`` in this script.
 
@@ -68,6 +70,7 @@ from lienil import dets  # noqa: E402
 from lienil.grassmann import GrassmannAlgebra, GrassmannElement  # noqa: E402
 from lienil.matrices import Matrix  # noqa: E402
 from lienil.scalars import QQ, CyclotomicField  # noqa: E402
+from lienil.supermatrix import example_5_1, sample_supermatrix  # noqa: E402
 
 ORDERS = (1, 3, 4, 5)
 GENERATORS = (4, 8)
@@ -78,6 +81,7 @@ DET_SIZES = (3, 4, 5)
 DET_REPEATS = 3
 SPARSE_N = 5
 SPARSE_DENSITY = 0.4
+EXAMPLE_5_1 = (4, 2, 4)       # n, d, g: det_stream's dearest sdet class
 CHAIN_N = 3
 CHAINS = {"rdet2": lambda A: dets.rdet(A, 2),
           "charpoly1": lambda A: dets.charpoly(A, 1),
@@ -177,10 +181,12 @@ def grassmann_cases(g, order):
               element(rng.sample(range(algebra.dim), 3)))
              for _ in range(POOL // 4)]
     suffix = f"g{g}" if order == 1 else f"g{g}_n{order}"
-    return {f"grassmann_{name}_{suffix}": _best_us(lambda a, b: a * b,
-                                                   pairs, 3)
-            for name, pairs in (("mul", mixed), ("one_dense", one_dense),
-                                ("three", three))}
+    out = {f"grassmann_{name}_{suffix}": _best_us(lambda a, b: a * b,
+                                                  pairs, 3)
+           for name, pairs in (("mul", mixed), ("one_dense", one_dense),
+                               ("three", three))}
+    out[f"grassmann_add_{suffix}"] = _best_us(lambda a, b: a + b, mixed, 10)
+    return out
 
 
 def _sparse_matrix(algebra, rng, n):
@@ -230,7 +236,11 @@ def det_cases():
         cases += [(f"{name}_n{n}", getattr(dets, name), A)
                   for name in ("sdet", "preadjoint")]
     sparse = _sparse_matrix(algebra, random.Random(3100 + SPARSE_N), SPARSE_N)
-    cases.append((f"sdet_sparse_n{SPARSE_N}", dets.sdet, sparse))
+    cases += [(f"{name}_sparse_n{SPARSE_N}", getattr(dets, name), sparse)
+              for name in ("sdet", "preadjoint")]
+    spec = example_5_1(*EXAMPLE_5_1)
+    member = sample_supermatrix(spec, random.Random(3200 + spec.n))
+    cases.append((f"sdet_5_1_n{spec.n}", dets.sdet, member))
     cases += [(f"{name}_n{CHAIN_N}", fn, dense[CHAIN_N])
               for name, fn in CHAINS.items()]
     out, multiplies = {}, {}

@@ -2,15 +2,19 @@
 right/left adjoint sequences and determinants, characteristic polynomials,
 Cayley-Hamilton residuals, and integrality certificates.
 
-All permutation sums follow the position order t = 1..n; the double sum
-adds its terms left to right in the order the permutations are enumerated.
-A term with a zero factor costs no ring multiply, a product stops at its
-first zero partial product, and zero terms are not added: the nonzero
-terms keep their order.  A term over m positions is the product of two
-halves, its first m - m // 2 factors and its last m // 2, and a call
-multiplies out each distinct half once.  With no zero entry or product,
-sdet at n = 5 makes 22000 ring multiplies, where multiplying out every
-term would make 57600.
+sdet and every preadjoint entry are one restricted double sum,
+``_pair_sums``, taken over ordered first halves: an item pairs an
+arrangement of h rows with one of h columns, and its term is +-head * tail,
+the head the product of the entries it picks, the tail the sdet on the
+unused rows and columns.  A call multiplies out each head and each tail
+once, and the n^2 preadjoint entries share them.  Zero entries, products
+and tails cost no multiply and zero terms are not added; the nonzero terms
+are added left to right in the order the arrangements are enumerated.
+Ring multiplies with no zero entry, product or tail, against the pair by
+pair sum with its two halves multiplied out once each (in brackets):
+
+    sdet        n = 3: 72 (72)    n = 4: 432 (864)    n = 5: 8000 (22000)
+    preadjoint  n = 3: 36 (36)    n = 4: 720 (1152)   n = 5: 4400 (21600)
 
 An adjoint chain builds its first k - 1 products in full, since each one's
 preadjoint is the next step.  rdet, ldet and charpoly read only the trace
@@ -25,7 +29,6 @@ the right and acc = acc x + c on the left.
 from __future__ import annotations
 
 import math
-from functools import cache
 from itertools import permutations, product
 
 from .matrices import Matrix, MatrixError
@@ -36,8 +39,8 @@ from .rings import (CostCapError, PolynomialRing, RingError,
 MAX_N = 5                 # the (n!)^2 enumerations stop here
 # An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
 # degree n^k in the entries of A.  At g = 4, on a sampled example-5.2
-# member (seed 1), charpoly takes about 2 s at n=5, k=3 and 8 s at n=2,
-# k=9; rdet at n=5, k=3 takes about 0.6 s on random unit entries (seed 1);
+# member (seed 1), charpoly takes about 0.7 s at n=5, k=3 and 8 s at n=2,
+# k=9; rdet at n=5, k=3 takes about 0.12 s on random unit entries (seed 1);
 # CPython 3.11 on one core of an x86-64 host.  The n=2 member's chain products are
 # diagonal, so tracing the last one saves nothing there.  The next degree
 # at n=5, 5^4 = 625, ran over 90 s when this cap was set.  A 1x1 chain does
@@ -69,13 +72,6 @@ def _sign(perm):
     return -1 if inv & 1 else 1
 
 
-@cache
-def _signed_permutations(n):
-    """The n! permutations of range(n), each with its sign, in the order
-    ``itertools.permutations`` makes them; built once per n."""
-    return tuple((p, _sign(p)) for p in permutations(range(n)))
-
-
 def _product(factors, ring):
     """The nonzero factors multiplied in order from the first (an empty
     product is ``ring.one``), stopping at a zero partial product: a zero
@@ -89,80 +85,137 @@ def _product(factors, ring):
     return prod
 
 
-def _pair_sum(A, fixed=None):
-    """sum over alpha, beta in S_n of sgn(alpha) sgn(beta) times
-    a_{alpha(t),beta(t)} over the positions t in order.  With fixed = (s, r)
-    only the pairs with alpha(s) = s and beta(s) = r count, and position s
-    is left out of the product.
+def _pair_sums(A, row_sets, col_sets):
+    """[[S(R, C) for R in row_sets] for C in col_sets].  A set is a pair
+    (values, sign) with its values increasing, all sets have the same size
+    m, and S(R, C) is sign_R sign_C times the sum over the bijections alpha
+    from the positions 1..m onto R and beta onto C of sgn(alpha) sgn(beta)
+    a_{alpha(1),beta(1)} ... a_{alpha(m),beta(m)}: the sdet of A restricted
+    to the rows R and the columns C.
 
-    The pairs are generated lazily.  A's zero pattern is read once: a pair
-    that meets a zero entry costs no ring multiply.  A pair whose term is
-    zero (a zero entry, half or product) gives None, which the sum skips
-    without a ring element's truth test.  The m positions split into the
-    last m // 2 and the ones before them, and any other term is the product
-    of its two halves.  The factors of a
-    half depend only on alpha's rows and beta's columns at its positions,
-    so each distinct half is multiplied out once per call and looked up
-    after that.  Every product starts from its first factor and stops at a
-    zero partial product.  With m = 3 a term is (a b) c, as when it is
-    multiplied out in order; with m < 2 there is one half, and with m = 0,
-    as in the 1x1 preadjoint, it is the empty product ``ring.one``."""
+    The positions split into the first h = m - m // 2 and the last
+    k = m // 2.  An item pairs an arrangement a_1..a_h of h rows of R with
+    one b_1..b_h of h columns of C.  Its term is +-head * tail, where the
+    head is a_{a_1 b_1} ... a_{a_h b_h} and the tail is the k x k sdet of A
+    on the unused rows and columns, each in increasing order.  This is the
+    double sum regrouped by left distributivity and associativity alone:
+    sgn(alpha) is the sign of "a_1..a_h, then the rest in increasing order"
+    times the sign of alpha on the rest, and likewise for beta.
+
+    A call computes each tail once per unused row and column set, directly
+    from its (k!)^2 terms (at most 4 for k <= 2), and each head once per
+    arrangement pair, as the cached product of its first h - 1 factors times
+    its last one.  The sums for different R and C share both.  With no zero
+    entry, product or tail:
+    - m = 3: 36 heads at one multiply, 9 one-entry tails and 36 joins: 72;
+    - m = 4: 144 heads, 36 tails at four multiplies and 144 joins: 432;
+    - m = 5: 400 two-factor prefixes, 3600 heads, 100 tails (400) and 3600
+      joins: 8000, where multiplying out every term makes 57600;
+    - the n = 5 preadjoint, 25 sums at m = 4: 400 heads, 100 tails (400)
+      and 25 x 144 joins: 4400.
+    At n = 3 an item names a whole pair (alpha, beta): sdet has 36 items.
+
+    A's zero pattern is read once: an item whose head meets a zero entry,
+    or whose tail is zero, costs no ring multiply and gives None, which the
+    sum skips without a ring element's truth test.  Every product starts
+    from its first factor and stops at a zero partial product.  With m < 2
+    there is no tail, and with m = 0, as in the 1x1 preadjoint, the head is
+    the empty product ``ring.one``."""
     n = A.nrows
-    ring, rows = A.ring, A.rows
-    perms = _signed_permutations(n)
-    alphas = betas = perms
-    positions = list(range(n))
-    if fixed is not None:
-        s, r = fixed
-        alphas = [(p, sp) for p, sp in perms if p[s] == s]
-        betas = [(p, sp) for p, sp in perms if p[s] == r]
-        positions.remove(s)
-    # Bit n t + j stands for value j at position t.  alpha carries its rows
-    # and, n^2 bits up, the zero entries in them; beta carries its columns
-    # n^2 bits up.  A pair meets a zero entry when alpha's zeros share a bit
-    # with beta's columns, and a half is keyed by the bits of the pair's
-    # rows and columns at its positions.
-    up = n * n
-    zero_cols = [sum(1 << j for j, x in enumerate(row) if not x)
-                 for row in rows]
-    alphas = [(p, sp, sum(zero_cols[p[t]] << up + n * t for t in positions),
-               sum(1 << n * t + p[t] for t in positions)) for p, sp in alphas]
-    betas = [(p, sp, sum(1 << up + n * t + p[t] for t in positions))
-             for p, sp in betas]
-    k = len(positions) // 2
-    halves = []
-    for ts in (positions[:-k], positions[-k:]) if k else (positions,):
-        mask = sum((1 << n) - 1 << n * t for t in ts)
-        halves.append((ts, mask | mask << up, {}))
+    ring, a = A.ring, A.rows
     zero = ring.zero
+    m = len(row_sets[0][0])
+    k = m // 2
+    h = m - k
+    # Bit n t + v stands for row v at position t and, n h bits up, for
+    # column v at position t; masks[t] keeps the first t positions of both.
+    # A row arrangement carries the zero entries of its rows n h bits up,
+    # so a head meets a zero entry when they share a bit with the columns.
+    up = n * h
+    zero_cols = [sum(1 << j for j, x in enumerate(row) if not x) for row in a]
+    masks = [sum(((1 << n) - 1) * (1 << n * t | 1 << up + n * t)
+                 for t in range(s)) for s in range(h + 1)]
+
+    def arrangements(values, sign, shift):
+        # (sign, arrangement, rest, bits, zeros, rest key); the column side
+        # (shift = up) reads no zeros
+        out = []
+        for p in permutations(values, h):
+            rest = tuple(v for v in values if v not in p)
+            bits = zeros = key = 0
+            for t, v in enumerate(p):
+                bits |= 1 << shift + n * t + v
+                zeros |= zero_cols[v] << up + n * t
+            for v in rest:
+                key |= 1 << v
+            out.append((sign * _sign(p + rest), p, rest, bits, zeros,
+                        key << n if shift else key))
+        return out
+
+    tails, heads = {}, {}
+
+    def tail(rs, cs):
+        if len(rs) == 1:         # an entry: no sum to build
+            i, j = rs[0], cs[0]
+            return zero if zero_cols[i] >> j & 1 else a[i][j]
+        acc = None
+        for p in permutations(rs):
+            sp = _sign(p)
+            for q in permutations(cs):
+                if any(zero_cols[i] >> j & 1 for i, j in zip(p, q)):
+                    continue
+                prod = _product([a[i][j] for i, j in zip(p, q)], ring)
+                if prod is not zero:
+                    prod = prod if sp * _sign(q) > 0 else -prod
+                    acc = prod if acc is None else acc + prod
+        return acc if acc else zero
+
+    def head(key, p, q):     # no recursion: a closure cycle outlives the call
+        if h < 2:
+            return a[p[0]][q[0]] if h else ring.one
+        part = heads.get(key)
+        if part is None:
+            part = a[p[0]][q[0]]
+            for t in range(1, h):
+                prefix = key & masks[t + 1]
+                cached = heads.get(prefix)
+                if cached is None:
+                    cached = heads[prefix] = (
+                        zero if part is zero else part * a[p[t]][q[t]] or zero)
+                part = cached
+        return part
 
     def term(item):
-        (pa, sa, zeros, bits), (pb, sb, picks) = item
-        if zeros & picks:
+        (sa, p, rs, rbits, zeros, rkey), (sb, q, cs, cbits, _, ckey) = item
+        if zeros & cbits:
             return None
-        bits |= picks
-        prod = None
-        for ts, mask, cache in halves:
-            key = bits & mask
-            part = cache.get(key)
-            if part is None:
-                part = cache[key] = _product(
-                    [rows[pa[t]][pb[t]] for t in ts], ring)
-            if part is zero:
+        key = rkey | ckey
+        tl = tails.get(key)
+        if tl is None:
+            tl = tails[key] = tail(rs, cs)
+        if tl is zero:
+            return None
+        prod = head(rbits | cbits, p, q)
+        if prod is zero:
+            return None
+        if k:
+            prod = prod * tl
+            if not prod:
                 return None
-            prod = part if prod is None else prod * part
-        if not prod:
-            return None
         return prod if sa * sb > 0 else -prod
 
-    return map_reduce_sum(product(alphas, betas), term, zero)
+    rows = [arrangements(values, sign, 0) for values, sign in row_sets]
+    cols = [arrangements(values, sign, up) for values, sign in col_sets]
+    return [[map_reduce_sum(product(r, c), term, zero) for r in rows]
+            for c in cols]
 
 
 def sdet(A):
     """sum over alpha, beta in S_n of sgn(alpha) sgn(beta)
     a_{alpha(1),beta(1)} ... a_{alpha(n),beta(n)}."""
     _require_square(A, "sdet")
-    return _pair_sum(A)
+    everything = (tuple(range(A.nrows)), 1)
+    return _pair_sums(A, [everything], [everything])[0][0]
 
 
 def sdet_first_form(A):
@@ -183,11 +236,15 @@ def sdet_first_form(A):
 
 def preadjoint(A):
     """A*: entry (r, s) is the double permutation sum restricted to
-    alpha(s) = s and beta(s) = r, with position s left out."""
+    alpha(s) = s and beta(s) = r, with position s left out.  Since alpha
+    fixes s, the inversions through position s come in pairs; since
+    beta(s) = r, they number r + s mod 2.  So the entry is (-1)^(r+s) times
+    the sum over the rows other than s and the columns other than r."""
     _require_square(A, "preadjoint")
     n = A.nrows
-    return Matrix(A.ring, [[_pair_sum(A, (s, r)) for s in range(n)]
-                           for r in range(n)])
+    others = [(tuple(v for v in range(n) if v != s), (-1) ** s)
+              for s in range(n)]
+    return Matrix(A.ring, _pair_sums(A, others, others))
 
 
 def preadjoint_via_minors(A):

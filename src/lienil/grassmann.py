@@ -178,18 +178,20 @@ class GrassmannElement(RingElement):
         self.coeffs = coeffs
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is not GrassmannElement or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         out = dict(self.coeffs)
-        for m, c in o.coeffs.items():
+        for m, c in other.coeffs.items():
             s = out.get(m)
             s = c if s is None else s + c
             if s:
                 out[m] = s
             else:
                 del out[m]
-        return GrassmannElement(self.ring, out)
+        # a sum that cancels is the shared zero, as an empty product is
+        return GrassmannElement(self.ring, out) if out else self.ring.zero
 
     def __neg__(self):
         return GrassmannElement(self.ring, {m: -c for m, c in self.coeffs.items()})

@@ -2,6 +2,7 @@
 Cayley-Hamilton, and integrality certificates."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -156,32 +157,47 @@ def count_multiplies(monkeypatch, fn, A):
 
 def test_zero_skip_multiplies_only_nonzero_terms(monkeypatch):
     """On a 4x4 diagonal matrix of units only the 24 pairs alpha = beta
-    meet no zero entry (2304 multiplies without the skip).  Each term is
-    the product of its positions 1-2 and 3-4, and a half is keyed by its
-    rows and columns: 12 distinct first halves and 12 second halves at one
-    multiply each, plus 24 joins, make 48.  A preadjoint diagonal entry
-    has 3 positions, split 2 + 1: its 6 pairs have 6 distinct first halves
-    at one multiply each, plus 6 joins; the 4 entries make 48."""
+    meet no zero entry (2304 multiplies without the skip).  sdet sums over
+    first halves of 2 positions: the 12 items whose head picks two diagonal
+    entries meet no zero entry.  Their tails are the 6 diagonal 2x2 sdets,
+    2 nonzero terms at one multiply each (12), and each item makes its head
+    (12) and one join (12): 36.  A diagonal preadjoint entry (s, s) sums
+    over 3 positions, a head of 2 and a one-entry tail: its 6 items have
+    diagonal heads.  The 4 entries share their 12 heads (12) and make 24
+    joins: 36.  An off-diagonal entry (r, s) reaches a diagonal head only
+    with the tail a_{rs} = 0, which is read before the head: no multiply."""
     E = GrassmannAlgebra(4, QQ)
     A = Matrix(E, [[E.element({0: i + 2, 1 << i: 1}) if i == j else E.zero
                     for j in range(4)] for i in range(4)])
     value, calls = count_multiplies(monkeypatch, sdet, A)
-    assert calls == 48
+    assert calls == 36
     adj, calls = count_multiplies(monkeypatch, preadjoint, A)
-    assert calls == 48
+    assert calls == 36
     assert value == sdet_first_form(A) and adj == preadjoint_via_minors(A)
 
 
 @pytest.mark.parametrize("fn, n, expected", [
-    (sdet, 3, 72), (sdet, 4, 864), (sdet, 5, 22000),
-    (preadjoint, 3, 36), (preadjoint, 5, 21600)])
+    (sdet, 3, 72), (sdet, 4, 408), (sdet, 5, 7856),
+    (preadjoint, 3, 36), (preadjoint, 5, 4328)])
 def test_dense_multiplies_halves_once(monkeypatch, fn, n, expected):
-    """With no zero entry and no zero product, a term over m positions is
-    its first m - m // 2 factors times its last m // 2, and each distinct
-    half is multiplied out once.  sdet at n = 5: 60^2 three-position halves
-    at two multiplies, 20^2 two-position halves at one, and 14400 joins
-    (57600 multiplies when every term is multiplied out).  At n = 3 the
-    rows and columns of a half name the whole pair, so nothing is shared."""
+    """No entry and no product is zero (every entry is a unit), but over
+    g = 2 a 2x2 tail can be: three are at n = 4 and two at n = 5.  A sum
+    over m positions makes head prefixes, tails and joins (see
+    ``dets._pair_sums``); a zero tail is read before the head, so its items
+    make neither a head nor a join.
+
+    - sdet, n = 3: 36 heads + 36 joins = 72; the 9 tails are entries.  An
+      item names the whole pair, so nothing is shared.
+    - sdet, n = 4: 144 heads + 36 tails at 4 multiplies + 144 joins = 432,
+      less the 3 zero tails' 4 items at 2 each: 408 (864 pair by pair).
+    - sdet, n = 5: 400 prefixes + 3600 heads + 100 tails at 4 + 3600
+      joins = 8000, less the 2 zero tails' 36 items at 2 each: 7856
+      (22000 pair by pair).
+    - preadjoint, n = 3: 9 entries of 4 items, each one join: 36.
+    - preadjoint, n = 5: the 25 entries share 400 heads and 100 tails at 4,
+      and make 144 joins each: 4400.  A zero tail sits in 9 entries with 4
+      items each, and its items' heads are made for other tails anyway:
+      4400 - 2 x 36 = 4328 (21600 pair by pair)."""
     E = GrassmannAlgebra(2, QQ)
     rng = random.Random(n)
     units = [[E.element({0: rng.choice((1, 2, 3)), rng.randrange(1, 4): 1})
@@ -189,6 +205,70 @@ def test_dense_multiplies_halves_once(monkeypatch, fn, n, expected):
     A = Matrix(E, units)
     _, calls = count_multiplies(monkeypatch, fn, A)
     assert calls == expected
+
+
+def restricted_pair_sum(A, r, s):
+    """The paper's preadjoint entry (r, s), term by term: the sum over
+    alpha, beta in S_n with alpha(s) = s and beta(s) = r of
+    sgn(alpha) sgn(beta) times a_{alpha(t),beta(t)} over the positions
+    t != s, multiplied in order."""
+    n, ring = A.nrows, A.ring
+
+    def sign(perm):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        return -1 if inversions % 2 else 1
+
+    acc = ring.zero
+    for alpha in permutations(range(n)):
+        for beta in permutations(range(n)):
+            if alpha[s] != s or beta[s] != r:
+                continue
+            prod = ring.one
+            for t in range(n):
+                if t != s:
+                    prod = prod * A.rows[alpha[t]][beta[t]]
+            acc = acc + (prod if sign(alpha) * sign(beta) > 0 else -prod)
+    return acc
+
+
+def restricted_sum_cases():
+    """4x4 matrices over three rings, named by their ids.  The Grassmann
+    entries carry odd monomials, so they do not commute."""
+    E = GrassmannAlgebra(4, QQ)
+    rng = random.Random(404)
+    odd = [m for m in range(E.dim) if m.bit_count() % 2]
+
+    def entry():
+        return E.element({0: rng.choice((-2, -1, 1, 2)),
+                          rng.choice(odd): rng.choice((-1, 1)),
+                          rng.choice(odd): rng.choice((-3, 3))})
+
+    noncommuting = Matrix(E, [[entry() for _ in range(4)] for _ in range(4)])
+    a, b = noncommuting.rows[0][:2]
+    assert a * b != b * a
+    zeta3 = GrassmannAlgebra(4, CyclotomicField(3))
+    _, C = grassmann_matrix(3, 4, 45)
+    rz = PolynomialRing(C.ring)
+    B = Matrix.identity(rz, 4) * rz.z - C.map_entries(rz.constant, ring=rz)
+    return [pytest.param(noncommuting, id="grassmann_odd"),
+            pytest.param(sparse_matrix(zeta3, 4, 304), id="sparse_zeta3"),
+            pytest.param(B, id="rz")]
+
+
+@pytest.mark.parametrize("A", restricted_sum_cases())
+def test_preadjoint_matches_restricted_pair_sum(A):
+    """Every entry (r, s) of A*, r + s odd included, against the paper's
+    restricted double sum written out from itertools.permutations."""
+    adj = preadjoint(A)
+    parities = set()
+    for r in range(4):
+        for s in range(4):
+            assert adj.rows[r][s] == restricted_pair_sum(A, r, s)
+            parities.add((r + s) % 2)
+    assert parities == {0, 1}
+    if isinstance(A.ring, PolynomialRing):
+        assert sdet(A) == sdet_first_form(A)
 
 
 def split_cases():

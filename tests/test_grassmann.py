@@ -313,3 +313,16 @@ def test_product_drops_monomials_that_fold_to_zero():
     x = E.element({0: 1, 1: e})
     y = E.element({3: 1 + e, 2: e})
     assert (x * y).coeffs == {2: e} == pairwise_product(x, y)
+
+
+def test_sum_lifts_scalars_refuses_other_rings_and_shares_zero():
+    """A same-ring operand skips the lift; a scalar is lifted, an element
+    of another algebra is refused, and a sum that cancels is ``E.zero``."""
+    E = GrassmannAlgebra(3, QQ)
+    x = E.element({0: 2, 0b011: Fraction(1, 3)})
+    assert (x + 1).coeffs == {0: QQ.from_fraction(3),
+                              0b011: QQ.from_fraction(Fraction(1, 3))}
+    assert (1 + x) == x + E.one
+    with pytest.raises(ContextMismatchError):
+        x + GrassmannAlgebra(2, QQ).one
+    assert x + (-x) is E.zero and x - x is E.zero
