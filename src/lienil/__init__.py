@@ -16,11 +16,10 @@ _MODULE_OF = {name: module for module, names in {
     "scalars": "QQ Cyc CyclotomicField cyclotomic_polynomial",
     "rings": "ContextMismatchError CostCapError Endomorphism OracleRing "
              "PolynomialRing RingError RPolynomial classical_adj "
-             "classical_det commutator extend_endomorphism_to_poly "
-             "fixed_ring_member is_lie_nilpotent_index "
+             "classical_det commutator fixed_ring_member "
              "left_normed_commutator",
     "grassmann": "ComponentBasis GrassmannAlgebra GrassmannElement epsilon "
-                 "graded_component_basis rho sigma sigma_inverse "
+                 "graded_component_basis rho sigma "
                  "solve_constraint",
     "matrices": "Matrix TransitiveMatrix blow_up delta_n factor_transitive "
                 "hadamard is_transitive theta theta_inverse "
@@ -28,7 +27,7 @@ _MODULE_OF = {name: module for module, names in {
     "supermatrix": "EmbeddingConditionsReport SuperAlgebraSpec "
                    "check_embedding_conditions closure_check embed "
                    "example_5_1 example_5_2 example_5_3 example_algebra "
-                   "hadamard_identity is_supermatrix p_matrix "
+                   "is_supermatrix p_matrix "
                    "sample_supermatrix shape verify_embedding",
     "dets": "AdjointSequence CharPoly IntegralityCertificate "
             "adjoint_sequence cayley_hamilton_check charpoly "

@@ -3,18 +3,19 @@ right/left adjoint sequences and determinants, characteristic polynomials,
 Cayley-Hamilton residuals, and integrality certificates.
 
 sdet and every preadjoint entry are one restricted double sum,
-``_pair_sums``, taken over ordered first halves: an item pairs an
-arrangement of h rows with one of h columns, and its term is +-head * tail,
-the head the product of the entries it picks, the tail the sdet on the
-unused rows and columns.  A call multiplies out each head and each tail
-once, and the n^2 preadjoint entries share them.  Zero entries, products
-and tails cost no multiply and zero terms are not added; the nonzero terms
-are added left to right in the order the arrangements are enumerated.
-Ring multiplies with no zero entry, product or tail, against the pair by
-pair sum with its two halves multiplied out once each (in brackets):
+``_pair_sums``, met in the middle: a sum on m rows is +-head * tail summed
+over the ways to split its rows and its columns into the first
+h = m - m // 2 and the rest, the head the sdet on the first h rows and
+columns and the tail the sdet on the rest.  Both come from one table per
+call, the signed product of every pair of arrangements of at most h rows
+and columns, each built from its prefix with one multiply; the sdet on a
+set of t rows and columns is the sum of its (t!)^2 pairs in the table.  The
+n^2 preadjoint entries share the table and these sums.  Zero entries,
+products and sums cost no multiply and zero terms are not added.  Ring
+multiplies with no zero entry, product or sum:
 
-    sdet        n = 3: 72 (72)    n = 4: 432 (864)    n = 5: 8000 (22000)
-    preadjoint  n = 3: 36 (36)    n = 4: 720 (1152)   n = 5: 4400 (21600)
+    sdet        n = 3: 45    n = 4: 180    n = 5: 4100
+    preadjoint  n = 3: 36    n = 4: 288    n = 5: 1300
 
 An adjoint chain builds its first k - 1 products in full, since each one's
 preadjoint is the next step.  rdet, ldet and charpoly read only the trace
@@ -29,7 +30,7 @@ the right and acc = acc x + c on the left.
 from __future__ import annotations
 
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .matrices import Matrix, MatrixError
 from .parallel import map_reduce_sum
@@ -39,12 +40,13 @@ from .rings import (CostCapError, PolynomialRing, RingError,
 MAX_N = 5                 # the (n!)^2 enumerations stop here
 # An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
 # degree n^k in the entries of A.  At g = 4, on a sampled example-5.2
-# member (seed 1), charpoly takes about 0.7 s at n=5, k=3 and 8 s at n=2,
-# k=9; rdet at n=5, k=3 takes about 0.12 s on random unit entries (seed 1);
-# CPython 3.11 on one core of an x86-64 host.  The n=2 member's chain products are
-# diagonal, so tracing the last one saves nothing there.  The next degree
-# at n=5, 5^4 = 625, ran over 90 s when this cap was set.  A 1x1 chain does
-# constant work per step; k <= 512 holds it under 50 ms.
+# member (seed 1), charpoly takes about 0.4 s at n=5, k=3 and 6 s at n=2,
+# k=9; rdet at n=5, k=3 takes about 0.08 s on unit entries (a scalar 1..3
+# plus one monomial, seed 1); CPython 3.11 on one core of an x86-64 host.
+# The n=2 member's chain products are diagonal, so tracing the last one
+# saves nothing there.  The next degree at n=5, 5^4 = 625, ran over 90 s
+# when this cap was set.  A 1x1 chain does constant work per step;
+# k <= 512 holds it under 50 ms.
 MAX_DEGREE = 512
 
 
@@ -72,19 +74,6 @@ def _sign(perm):
     return -1 if inv & 1 else 1
 
 
-def _product(factors, ring):
-    """The nonzero factors multiplied in order from the first (an empty
-    product is ``ring.one``), stopping at a zero partial product: a zero
-    product is ``ring.zero`` itself."""
-    factors = iter(factors)
-    prod = next(factors, ring.one)
-    for x in factors:
-        prod = prod * x
-        if not prod:
-            return ring.zero
-    return prod
-
-
 def _pair_sums(A, row_sets, col_sets):
     """[[S(R, C) for R in row_sets] for C in col_sets].  A set is a pair
     (values, sign) with its values increasing, all sets have the same size
@@ -94,120 +83,85 @@ def _pair_sums(A, row_sets, col_sets):
     to the rows R and the columns C.
 
     The positions split into the first h = m - m // 2 and the last
-    k = m // 2.  An item pairs an arrangement a_1..a_h of h rows of R with
-    one b_1..b_h of h columns of C.  Its term is +-head * tail, where the
-    head is a_{a_1 b_1} ... a_{a_h b_h} and the tail is the k x k sdet of A
-    on the unused rows and columns, each in increasing order.  This is the
-    double sum regrouped by left distributivity and associativity alone:
-    sgn(alpha) is the sign of "a_1..a_h, then the rest in increasing order"
-    times the sign of alpha on the rest, and likewise for beta.
+    k = m // 2, so S(R, C) = sum over the h-subsets R' of R and C' of C of
+    e_R' e_C' S(R', C') S(R - R', C - C'), every set in increasing order and
+    e_R' the sign of "R', then the rest of R".  This is the double sum
+    regrouped by left distributivity and associativity alone; the head
+    S(R', C') stays on the left.
 
-    A call computes each tail once per unused row and column set, directly
-    from its (k!)^2 terms (at most 4 for k <= 2), and each head once per
-    arrangement pair, as the cached product of its first h - 1 factors times
-    its last one.  The sums for different R and C share both.  With no zero
-    entry, product or tail:
-    - m = 3: 36 heads at one multiply, 9 one-entry tails and 36 joins: 72;
-    - m = 4: 144 heads, 36 tails at four multiplies and 144 joins: 432;
-    - m = 5: 400 two-factor prefixes, 3600 heads, 100 tails (400) and 3600
-      joins: 8000, where multiplying out every term makes 57600;
-    - the n = 5 preadjoint, 25 sums at m = 4: 400 heads, 100 tails (400)
-      and 25 x 144 joins: 4400.
-    At n = 3 an item names a whole pair (alpha, beta): sdet has 36 items.
-
-    A's zero pattern is read once: an item whose head meets a zero entry,
-    or whose tail is zero, costs no ring multiply and gives None, which the
-    sum skips without a ring element's truth test.  Every product starts
-    from its first factor and stops at a zero partial product.  With m < 2
-    there is no tail, and with m = 0, as in the 1x1 preadjoint, the head is
-    the empty product ``ring.one``."""
-    n = A.nrows
-    ring, a = A.ring, A.rows
+    A call first builds one table: for every pair of arrangements p, q of
+    t <= h distinct rows and columns of A, sgn(p) sgn(q) a_{p1 q1} ...
+    a_{pt qt}, each from its prefix with one multiply (the sign rides on
+    the last factor, a_ij or -a_ij).  Zero entries and zero products are
+    left out.  S on t >= 2 rows is then the sum of its (t!)^2 arrangement
+    pairs read from the table, S on one row is the entry and S on none is
+    ``ring.one``; the sums are kept for the call, so sdet and the n^2
+    preadjoint entries share them.  Each (head, tail) pair costs one join
+    multiply, and none when the head, read first, or the tail is zero.
+    With no zero entry, product or sum:
+    - sdet, m = n: 36 products + 9 joins = 45 at n = 3, 144 + 36 = 180 at
+      n = 4, 400 + 3600 + 100 = 4100 at n = 5;
+    - the preadjoint, n^2 sums at m = n - 1: 9 x 4 = 36 joins at n = 3,
+      144 + 16 x 9 = 288 at n = 4, 400 + 25 x 36 = 1300 at n = 5.
+    With h <= 1 the table holds only the entries, and with k = 0 (m <= 1)
+    the head is the term."""
+    n, ring, a = A.nrows, A.ring, A.rows
     zero = ring.zero
     m = len(row_sets[0][0])
     k = m // 2
     h = m - k
-    # Bit n t + v stands for row v at position t and, n h bits up, for
-    # column v at position t; masks[t] keeps the first t positions of both.
-    # A row arrangement carries the zero entries of its rows n h bits up,
-    # so a head meets a zero entry when they share a bit with the columns.
-    up = n * h
-    zero_cols = [sum(1 << j for j, x in enumerate(row) if not x) for row in a]
-    masks = [sum(((1 << n) - 1) * (1 << n * t | 1 << up + n * t)
-                 for t in range(s)) for s in range(h + 1)]
+    level = {((i,), (j,)): x for i, row in enumerate(a)
+             for j, x in enumerate(row) if x}
+    table = dict(level)
+    if h > 1:
+        signed = [[(x, -x) if x else None for x in row] for row in a]
+    for _ in range(h - 1):
+        level, prefixes = {}, level
+        for (p, q), prefix in prefixes.items():
+            for i in range(n):
+                if i in p:
+                    continue
+                flips = sum(v > i for v in p)
+                for j, pair in enumerate(signed[i]):
+                    if pair and j not in q:
+                        x = prefix * pair[flips + sum(w > j for w in q) & 1]
+                        if x:
+                            level[p + (i,), q + (j,)] = x
+        table.update(level)
+    sums = {}
 
-    def arrangements(values, sign, shift):
-        # (sign, arrangement, rest, bits, zeros, rest key); the column side
-        # (shift = up) reads no zeros
+    def S(R, C):
+        if len(R) < 2:
+            return table.get((R, C)) if R else ring.one
+        if (R, C) not in sums:
+            sums[R, C] = map_reduce_sum(
+                product(permutations(R), permutations(C)), table.get,
+                zero) or None
+        return sums[R, C]
+
+    def halves(values, sign):
         out = []
-        for p in permutations(values, h):
-            rest = tuple(v for v in values if v not in p)
-            bits = zeros = key = 0
-            for t, v in enumerate(p):
-                bits |= 1 << shift + n * t + v
-                zeros |= zero_cols[v] << up + n * t
-            for v in rest:
-                key |= 1 << v
-            out.append((sign * _sign(p + rest), p, rest, bits, zeros,
-                        key << n if shift else key))
+        for first in combinations(values, h):
+            rest = tuple(v for v in values if v not in first)
+            out.append((sign * _sign(first + rest), first, rest))
         return out
 
-    tails, heads = {}, {}
-
-    def tail(rs, cs):
-        if len(rs) == 1:         # an entry: no sum to build
-            i, j = rs[0], cs[0]
-            return zero if zero_cols[i] >> j & 1 else a[i][j]
-        acc = None
-        for p in permutations(rs):
-            sp = _sign(p)
-            for q in permutations(cs):
-                if any(zero_cols[i] >> j & 1 for i, j in zip(p, q)):
+    def join(row, col):
+        acc = zero
+        for sr, R1, R2 in row:
+            for sc, C1, C2 in col:
+                head = S(R1, C1)
+                tail = None if head is None else S(R2, C2)
+                if tail is None:
                     continue
-                prod = _product([a[i][j] for i, j in zip(p, q)], ring)
-                if prod is not zero:
-                    prod = prod if sp * _sign(q) > 0 else -prod
-                    acc = prod if acc is None else acc + prod
-        return acc if acc else zero
+                prod = head * tail if k else head
+                if prod:
+                    acc = acc + (prod if sr * sc > 0 else -prod)
+        return acc
 
-    def head(key, p, q):     # no recursion: a closure cycle outlives the call
-        if h < 2:
-            return a[p[0]][q[0]] if h else ring.one
-        part = heads.get(key)
-        if part is None:
-            part = a[p[0]][q[0]]
-            for t in range(1, h):
-                prefix = key & masks[t + 1]
-                cached = heads.get(prefix)
-                if cached is None:
-                    cached = heads[prefix] = (
-                        zero if part is zero else part * a[p[t]][q[t]] or zero)
-                part = cached
-        return part
-
-    def term(item):
-        (sa, p, rs, rbits, zeros, rkey), (sb, q, cs, cbits, _, ckey) = item
-        if zeros & cbits:
-            return None
-        key = rkey | ckey
-        tl = tails.get(key)
-        if tl is None:
-            tl = tails[key] = tail(rs, cs)
-        if tl is zero:
-            return None
-        prod = head(rbits | cbits, p, q)
-        if prod is zero:
-            return None
-        if k:
-            prod = prod * tl
-            if not prod:
-                return None
-        return prod if sa * sb > 0 else -prod
-
-    rows = [arrangements(values, sign, 0) for values, sign in row_sets]
-    cols = [arrangements(values, sign, up) for values, sign in col_sets]
-    return [[map_reduce_sum(product(r, c), term, zero) for r in rows]
-            for c in cols]
+    rows = [halves(*r) for r in row_sets]
+    return [[join(row, col) for row in rows]
+            for col in (halves(*c) for c in col_sets)]
 
 
 def sdet(A):

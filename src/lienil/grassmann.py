@@ -348,13 +348,6 @@ def sigma(algebra, validate=True):
                         lambda x: left * x * right, validate=validate)
 
 
-def sigma_inverse(algebra, validate=True):
-    v1 = algebra.generator(1)
-    left, right = algebra.one - v1, algebra.one + v1
-    return Endomorphism("sigma_inv", algebra,
-                        lambda x: left * x * right, validate=validate)
-
-
 def endomorphism_from_generator_images(algebra, images):
     """Multiplicative extension of v_i -> images[i]; validated on generators."""
     if len(images) != algebra.g:

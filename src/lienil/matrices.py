@@ -207,15 +207,6 @@ def factor_transitive(T):
     return [T.entry(i, 1) for i in range(1, T.n + 1)]
 
 
-def factorization_constant(T, other_units):
-    """For a second factorization h_i of T, the constant c with h_i = g_i c;
-    returns None if no single constant works.  Since g_1 = t_11 = 1, c = h_1."""
-    c = other_units[0]
-    if all(gi * c == hi for gi, hi in zip(factor_transitive(T), other_units)):
-        return c
-    return None
-
-
 def blow_up(T, cuts):
     """Replace each entry t_ij by a constant block per the cut sequence
     0 = d_0 < d_1 < ... < d_n = m."""

@@ -145,18 +145,6 @@ def left_normed_commutator(elems):
     return acc
 
 
-def is_lie_nilpotent_index(ring, k, witnesses):
-    """True iff the left-normed commutator of length k+1 vanishes on every
-    supplied (k+1)-tuple.  ``GrassmannAlgebra.lie_nilpotent_exhaustive``
-    decides it on every tuple of basis monomials."""
-    for tup in witnesses:
-        if len(tup) != k + 1:
-            raise RingError(f"witness tuple must have {k + 1} elements")
-        if left_normed_commutator(list(tup)) != ring.zero:
-            return False
-    return True
-
-
 class Endomorphism:
     """A named unital ring endomorphism, validated at construction.
 
@@ -322,15 +310,6 @@ def substitute(coeffs, x, one, side):
             c = (x * acc if side == "right" else acc * x) + c
         acc = c
     return acc
-
-
-def extend_endomorphism_to_poly(delta):
-    """delta_z on R[z]: apply delta coefficientwise, fix z."""
-    ring = PolynomialRing(delta.ring)
-    return Endomorphism(
-        delta.name + "_z", ring,
-        lambda p: ring.element([delta(c) for c in p.coeffs]),
-        validate=False)
 
 
 # --------------------------------------------------------------------------

@@ -260,17 +260,6 @@ def verify_embedding(spec, pairs):
     return EmbeddingVerdict(not failures, failures)
 
 
-def scalar_regime_check(spec, fixed_elements):
-    """Regime where embed(r) must be the scalar matrix r*I for fixed r."""
-    for r in fixed_elements:
-        if not fixed_ring_member(spec.delta, r):
-            raise SuperMatrixError("element is not in the fixed ring")
-        if embed(spec, r) != Matrix.identity(spec.ring, spec.n).map_entries(
-                lambda e: e * r):
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # Transitive matrices with scalar entries, and the worked examples
 # --------------------------------------------------------------------------
@@ -292,10 +281,6 @@ def root_embedding(r, delta, n):
         raise SuperMatrixError(f"{delta.name}^{n} is not the identity, so "
                                f"there is no embedding at n = {n}")
     return embed(SuperAlgebraSpec(ring, delta, p_matrix(ring, e, n=n)), r)
-
-
-def hadamard_identity(ring, n):
-    return transitive_from_units(ring, [ring.one] * n)
 
 
 def example_5_1(n, d, g, field=None):

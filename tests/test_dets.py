@@ -1,6 +1,7 @@
 """Symmetric determinant, adjoint sequences, characteristic polynomials,
 Cayley-Hamilton, and integrality certificates."""
 
+import gc
 import random
 from itertools import permutations
 
@@ -157,47 +158,55 @@ def count_multiplies(monkeypatch, fn, A):
 
 def test_zero_skip_multiplies_only_nonzero_terms(monkeypatch):
     """On a 4x4 diagonal matrix of units only the 24 pairs alpha = beta
-    meet no zero entry (2304 multiplies without the skip).  sdet sums over
-    first halves of 2 positions: the 12 items whose head picks two diagonal
-    entries meet no zero entry.  Their tails are the 6 diagonal 2x2 sdets,
-    2 nonzero terms at one multiply each (12), and each item makes its head
-    (12) and one join (12): 36.  A diagonal preadjoint entry (s, s) sums
-    over 3 positions, a head of 2 and a one-entry tail: its 6 items have
-    diagonal heads.  The 4 entries share their 12 heads (12) and make 24
-    joins: 36.  An off-diagonal entry (r, s) reaches a diagonal head only
-    with the tail a_{rs} = 0, which is read before the head: no multiply."""
+    meet no zero entry (2304 multiplies without the skip).  The table of
+    arrangement products (see ``dets._pair_sums``) holds the 4 diagonal
+    entries and, for sdet and the preadjoint alike (h = 2), the 12 pairs
+    ((i, j), (i, j)) with i != j, one multiply each: 12.  sdet joins a head
+    S(R', C') on 2 rows with the tail on the other 2; both are nonzero only
+    for the 6 diagonal R' = C': 12 + 6 = 18.  A diagonal preadjoint entry
+    (s, s) joins the 3 diagonal heads on 2 of its rows with a diagonal
+    entry, 3 joins each: 12.  An off-diagonal entry (r, s) meets a nonzero
+    head only on the rows other than r and s, with the tail a_rs = 0: no
+    join.  12 + 12 = 24."""
     E = GrassmannAlgebra(4, QQ)
     A = Matrix(E, [[E.element({0: i + 2, 1 << i: 1}) if i == j else E.zero
                     for j in range(4)] for i in range(4)])
     value, calls = count_multiplies(monkeypatch, sdet, A)
-    assert calls == 36
+    assert calls == 18
     adj, calls = count_multiplies(monkeypatch, preadjoint, A)
-    assert calls == 36
+    assert calls == 24
     assert value == sdet_first_form(A) and adj == preadjoint_via_minors(A)
 
 
 @pytest.mark.parametrize("fn, n, expected", [
-    (sdet, 3, 72), (sdet, 4, 408), (sdet, 5, 7856),
-    (preadjoint, 3, 36), (preadjoint, 5, 4328)])
+    (sdet, 3, 45), (sdet, 4, 174), (sdet, 5, 4091),
+    (preadjoint, 3, 36), (preadjoint, 4, 276), (preadjoint, 5, 1264)])
 def test_dense_multiplies_halves_once(monkeypatch, fn, n, expected):
-    """No entry and no product is zero (every entry is a unit), but over
-    g = 2 a 2x2 tail can be: three are at n = 4 and two at n = 5.  A sum
-    over m positions makes head prefixes, tails and joins (see
-    ``dets._pair_sums``); a zero tail is read before the head, so its items
-    make neither a head nor a join.
+    """No entry and no product is zero (every entry is a unit), so the
+    table of arrangement products (see ``dets._pair_sums``) is full: P(n, t)^2
+    products on t = 2..h rows, one multiply each.  A sum over m positions
+    then makes one join per nonzero (head, tail) pair: the head on the first
+    h = m - m // 2 rows, the tail on the other m // 2.  Over g = 2 some of
+    the sums S(R, C) are zero (rows R, columns C, counted from 0):
+    - n = 4: ({2, 3}, {0, 1}), ({2, 3}, {0, 2}) and ({2, 3}, {1, 2}) on two
+      rows;
+    - n = 5: ({0, 4}, {0, 1}) and ({1, 2}, {0, 1}) on two rows, and seven
+      on three rows, six of them with the columns {0, 1, 3}.
 
-    - sdet, n = 3: 36 heads + 36 joins = 72; the 9 tails are entries.  An
-      item names the whole pair, so nothing is shared.
-    - sdet, n = 4: 144 heads + 36 tails at 4 multiplies + 144 joins = 432,
-      less the 3 zero tails' 4 items at 2 each: 408 (864 pair by pair).
-    - sdet, n = 5: 400 prefixes + 3600 heads + 100 tails at 4 + 3600
-      joins = 8000, less the 2 zero tails' 36 items at 2 each: 7856
-      (22000 pair by pair).
-    - preadjoint, n = 3: 9 entries of 4 items, each one join: 36.
-    - preadjoint, n = 5: the 25 entries share 400 heads and 100 tails at 4,
-      and make 144 joins each: 4400.  A zero tail sits in 9 entries with 4
-      items each, and its items' heads are made for other tails anyway:
-      4400 - 2 x 36 = 4328 (21600 pair by pair)."""
+    - sdet, n = 3: 36 products + 9 joins = 45.
+    - sdet, n = 4: 144 products + 36 joins = 180.  Each zero 2x2 sum is the
+      head of one join and the tail of another: 180 - 3 x 2 = 174.
+    - sdet, n = 5: 400 + 3600 products + 100 joins = 4100.  Each zero 2x2
+      sum is the tail of one join, each zero 3x3 sum the head of one, and
+      no join has both: 4100 - 2 - 7 = 4091.
+    - preadjoint, n = 3: 9 entries of 4 joins, each an entry times an
+      entry: 36.
+    - preadjoint, n = 4: 144 products + 16 entries of 9 joins = 288.  A zero
+      2x2 sum is a head in the 4 entries whose rows and columns hold it:
+      288 - 3 x 4 = 276.
+    - preadjoint, n = 5: 400 products + 25 entries of 36 joins = 1300.  A
+      zero 2x2 sum lies in 9 entries, as a head and as a tail in each:
+      1300 - 2 x 18 = 1264."""
     E = GrassmannAlgebra(2, QQ)
     rng = random.Random(n)
     units = [[E.element({0: rng.choice((1, 2, 3)), rng.randrange(1, 4): 1})
@@ -281,8 +290,16 @@ def split_cases():
 
 @pytest.mark.parametrize("A", split_cases())
 def test_half_products_match_oracles_n5(A):
+    """``preadjoint_via_minors`` runs the same sums as ``preadjoint``, so
+    every entry is also checked against (-1)^(r+s) times the first form of
+    its minor, which shares no code with them."""
     assert sdet(A) == sdet_first_form(A)
-    assert preadjoint(A) == preadjoint_via_minors(A)
+    adj = preadjoint(A)
+    assert adj == preadjoint_via_minors(A)
+    for r in range(1, 6):
+        for s in range(1, 6):
+            minor = sdet_first_form(A.minor(s, r))
+            assert adj.rows[r - 1][s - 1] == minor * (-1) ** (r + s)
 
 
 def test_half_products_match_oracles_over_rz():
@@ -293,6 +310,20 @@ def test_half_products_match_oracles_over_rz():
          - A.map_entries(rz.constant, ring=rz))
     assert sdet(B) == sdet_first_form(B)
     assert preadjoint(B) == preadjoint_via_minors(B)
+
+
+@pytest.mark.parametrize("ring", ["grassmann", "oracle"])
+def test_sums_leave_no_reference_cycle(ring):
+    """The table and the sums of a call are freed when it returns: the
+    cyclic collector finds nothing after sdet, preadjoint or rdet."""
+    if ring == "grassmann":
+        _, A = grassmann_matrix(4, 4, 46)
+    else:
+        _, A = symbolic_matrix(4)
+    gc.collect()
+    for fn in (sdet, preadjoint, lambda A: rdet(A, 2)):
+        fn(A)
+        assert gc.collect() == 0
 
 
 def test_map_reduce_sum_adds_nonzero_terms_in_order():

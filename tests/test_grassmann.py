@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lienil import (ComponentBasis, ContextMismatchError, CyclotomicField,
-                    GrassmannAlgebra, QQ, RingError, epsilon,
-                    graded_component_basis, rho, sigma, sigma_inverse,
-                    solve_constraint)
+                    Endomorphism, GrassmannAlgebra, QQ, RingError, epsilon,
+                    graded_component_basis, rho, sigma, solve_constraint)
 from lienil.grassmann import GrassmannElement, _hops
 from lienil.scalars import SHARED_VALUES, Cyc
 
@@ -130,6 +129,14 @@ def test_rho_accepts_roots_of_high_order(order):
     assert rho(E, -F.e)(E.generator(2)) == E.generator(2) * -F.e
     with pytest.raises(RingError):
         rho(E, F.one + F.e)
+
+
+def sigma_inverse(algebra):
+    """Conjugation g -> (1-v1) g (1+v1), which undoes sigma."""
+    v1 = algebra.generator(1)
+    left, right = algebra.one - v1, algebra.one + v1
+    return Endomorphism("sigma_inv", algebra, lambda x: left * x * right,
+                        validate=True)
 
 
 def test_sigma_action_and_inverse():

@@ -11,9 +11,8 @@ from lienil import (CyclotomicField, GrassmannAlgebra, Matrix, QQ,
                     TransitiveMatrix, blow_up, delta_n, epsilon,
                     factor_transitive, hadamard, is_transitive, theta,
                     theta_inverse, transitive_from_units, transitive_square)
-from lienil.matrices import (MatrixError, factorization_constant,
-                             matrix_units_counterexample)
-from lienil.supermatrix import hadamard_identity, p_matrix
+from lienil.matrices import MatrixError, matrix_units_counterexample
+from lienil.supermatrix import p_matrix
 
 
 def scalar_matrix(ring, table):
@@ -106,7 +105,8 @@ def test_p_matrix_powers():
     for i in range(1, 4):
         for j in range(1, 4):
             assert T.entry(i, j) == E.from_scalar(F.e ** (i - j))
-    assert hadamard_identity(E, 3).matrix == scalar_matrix(E, [[1] * 3] * 3)
+    H = transitive_from_units(E, [E.one] * 3)      # the Hadamard identity
+    assert H.matrix == scalar_matrix(E, [[1] * 3] * 3)
 
 
 def test_transitive_square_identity():
@@ -149,6 +149,15 @@ def test_factor_and_rebuild():
         # every entry is a unit with inverse t_ji
         for i, j in itertools.product(range(1, 4), repeat=2):
             assert T.entry(i, j) * T.entry(j, i) == E.one
+
+
+def factorization_constant(T, other_units):
+    """For a second factorization h_i of T, the constant c with h_i = g_i c;
+    None if no single constant works.  Since g_1 = t_11 = 1, c = h_1."""
+    c = other_units[0]
+    if all(gi * c == hi for gi, hi in zip(factor_transitive(T), other_units)):
+        return c
+    return None
 
 
 def test_factorization_constant():

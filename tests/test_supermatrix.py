@@ -8,11 +8,11 @@ import pytest
 from lienil import (CyclotomicField, EmbeddingConditionsReport,
                     GrassmannAlgebra, Matrix, QQ, SuperAlgebraSpec,
                     check_embedding_conditions, closure_check, embed,
-                    epsilon, graded_component_basis, is_supermatrix,
-                    p_matrix, sample_supermatrix, shape, verify_embedding)
+                    epsilon, fixed_ring_member, graded_component_basis,
+                    is_supermatrix, p_matrix, sample_supermatrix, shape,
+                    transitive_from_units, verify_embedding)
 from lienil.supermatrix import (SuperMatrixError, example_5_1, example_5_2,
-                                example_5_3, root_embedding,
-                                scalar_regime_check)
+                                example_5_3, root_embedding)
 
 
 @pytest.fixture
@@ -149,13 +149,23 @@ def test_embedding_conditions_report_keys():
 def test_embedding_conditions_fail_for_hadamard_identity():
     """H_n has t = 1 everywhere: power sums do not vanish and 1 - t = 0."""
     E = GrassmannAlgebra(2, QQ)
-    from lienil.supermatrix import hadamard_identity
     spec = SuperAlgebraSpec(E, epsilon(E, validate=False),
-                            hadamard_identity(E, 2))
+                            transitive_from_units(E, [E.one] * 2))
     report = check_embedding_conditions(spec)
     assert not report.power_sums_vanish
     assert report.one_minus_t_nonzero_divisor is False
     assert not report.regime_scalar
+
+
+def scalar_regime_check(spec, fixed_elements):
+    """Regime where embed(r) must be the scalar matrix r*I for fixed r."""
+    for r in fixed_elements:
+        if not fixed_ring_member(spec.delta, r):
+            raise SuperMatrixError("element is not in the fixed ring")
+        if embed(spec, r) != Matrix.identity(spec.ring, spec.n).map_entries(
+                lambda e: e * r):
+            return False
+    return True
 
 
 def test_scalar_regime(spec_eps_p):
