@@ -9,7 +9,10 @@ at g = 4 and 8 over Q, Q(zeta3) and Q(zeta5) (rows suffixed ``_n3`` and
 ``grassmann_mul`` multiplies random 4-term (g = 4) or 12-term (g = 8)
 elements, ``grassmann_one_dense`` a one-term element and one on every
 monomial (in either order), and ``grassmann_three`` two 3-term elements;
-``grassmann_add`` adds the operands of ``grassmann_mul``.
+``grassmann_add`` adds the operands of ``grassmann_mul``.  ``grassmann_dot4_g4``
+times one ``GrassmannAlgebra.dot`` of four products of the g = 4 operands
+of ``grassmann_mul`` over Q, the sum behind one entry of a 4 x 4 matrix
+product.
 Operands come from fixed seeds, so two checkouts time the same inputs.
 Each figure is the best of several repeats of a loop over a fixed pool of
 operands.
@@ -19,12 +22,17 @@ The determinant section prints the milliseconds of ``sdet`` and
 over Q, at n = 3, 4, 5, of ``sdet`` and ``preadjoint`` on a seeded sparse
 5 x 5 matrix at g = 4 (a unit diagonal; each off-diagonal entry is one
 monomial with probability 0.4, else zero), of ``sdet`` on a seeded member
-of example 5.1 at n = 4, d = 2, g = 4 (det_stream's dearest class), and of
+of example 5.1 at n = 4, d = 2, g = 4 (det_stream's dearest class), of
 the adjoint chains on the n = 3 matrix: ``rdet`` at k = 2, ``charpoly`` at
 k = 1 and the Cayley-Hamilton residual at k = 2 (``lienil rdet --k 2``,
-``charpoly --k 1`` and ``ch-check --k 2``).  Each is the best of three calls in this interpreter.
-Next to each time it prints the Grassmann ring multiplies of one more
-call, counted by wrapping ``GrassmannElement.__mul__`` in this script.
+``charpoly --k 1`` and ``ch-check --k 2``), of ``charpoly`` at k = 1 on a
+seeded member of example 5.2 at n = 3, g = 4 over Q(zeta3)
+(``charpoly1_5_2_n3_zeta3``, a det_stream class), and of the product of
+two seeded 4 x 4 matrices whose g = 4 entries have all 16 monomials, over
+Q and over Q(zeta3) (``matmul_n4``, ``matmul_n4_zeta3``).  Each is the
+best of three calls in this interpreter.  Next to each time it prints the
+Grassmann ring multiplies of one more call, counted by wrapping
+``GrassmannElement.__mul__`` and ``GrassmannAlgebra.dot`` in this script.
 
 The oracle section prints the wall seconds of acceptance criterion 3
 (``sdet = n! det`` and ``A* = (n-1)! adj`` on symbolic n = 2, 3, 4) and
@@ -70,7 +78,8 @@ from lienil import dets  # noqa: E402
 from lienil.grassmann import GrassmannAlgebra, GrassmannElement  # noqa: E402
 from lienil.matrices import Matrix  # noqa: E402
 from lienil.scalars import QQ, CyclotomicField  # noqa: E402
-from lienil.supermatrix import example_5_1, sample_supermatrix  # noqa: E402
+from lienil.supermatrix import (example_5_1, example_5_2,  # noqa: E402
+                                sample_supermatrix)
 
 ORDERS = (1, 3, 4, 5)
 GENERATORS = (4, 8)
@@ -82,6 +91,8 @@ DET_REPEATS = 3
 SPARSE_N = 5
 SPARSE_DENSITY = 0.4
 EXAMPLE_5_1 = (4, 2, 4)       # n, d, g: det_stream's dearest sdet class
+EXAMPLE_5_2 = (3, 4)          # n, g: det_stream's charpoly1_right class
+MATMUL_N = 4
 CHAIN_N = 3
 CHAINS = {"rdet2": lambda A: dets.rdet(A, 2),
           "charpoly1": lambda A: dets.charpoly(A, 1),
@@ -186,6 +197,11 @@ def grassmann_cases(g, order):
            for name, pairs in (("mul", mixed), ("one_dense", one_dense),
                                ("three", three))}
     out[f"grassmann_add_{suffix}"] = _best_us(lambda a, b: a + b, mixed, 10)
+    if g == 4 and order == 1:
+        terms = [[(a, b, i % 2 == 1) for i, (a, b) in enumerate(mixed[k:k + 4])]
+                 for k in range(0, len(mixed), 4)]
+        out["grassmann_dot4_g4"] = _best_us(
+            lambda ts, _: algebra.dot(ts), [(ts, None) for ts in terms], 10)
     return out
 
 
@@ -205,21 +221,42 @@ def _sparse_matrix(algebra, rng, n):
     return Matrix(algebra, [[entry(i, j) for j in range(n)] for i in range(n)])
 
 
+def _full_matrix(field, rng):
+    """A MATMUL_N x MATMUL_N matrix over g = 4 whose entries have all 16
+    monomials, with integer coefficients in -5..5."""
+    algebra = GrassmannAlgebra(4, field)
+
+    def entry():
+        return algebra.element({m: field.element(
+            [rng.randint(-5, 5) for _ in range(field.degree)])
+            for m in algebra.basis_masks()})
+    return Matrix(algebra, [[entry() for _ in range(MATMUL_N)]
+                            for _ in range(MATMUL_N)])
+
+
 def _multiplies(fn, A):
-    """The number of Grassmann ring multiplies that fn(A) makes."""
+    """The number of Grassmann ring multiplies that fn(A) makes: one per
+    ``GrassmannElement.__mul__`` call and one per term of a
+    ``GrassmannAlgebra.dot`` sum, whatever its operands."""
     count = 0
-    mul = GrassmannElement.__mul__
+    mul, dot = GrassmannElement.__mul__, GrassmannAlgebra.dot
 
     def counted(a, b):
         nonlocal count
         count += 1
         return mul(a, b)
 
-    GrassmannElement.__mul__ = counted
+    def counted_dot(ring, terms):
+        nonlocal count
+        terms = list(terms)
+        count += len(terms)
+        return dot(ring, terms)
+
+    GrassmannElement.__mul__, GrassmannAlgebra.dot = counted, counted_dot
     try:
         fn(A)
     finally:
-        GrassmannElement.__mul__ = mul
+        GrassmannElement.__mul__, GrassmannAlgebra.dot = mul, dot
     return count
 
 
@@ -243,6 +280,15 @@ def det_cases():
     cases.append((f"sdet_5_1_n{spec.n}", dets.sdet, member))
     cases += [(f"{name}_n{CHAIN_N}", fn, dense[CHAIN_N])
               for name, fn in CHAINS.items()]
+    spec = example_5_2(*EXAMPLE_5_2, field=CyclotomicField(3))
+    member = sample_supermatrix(spec, random.Random(3300 + spec.n))
+    cases.append(("charpoly1_5_2_n3_zeta3", CHAINS["charpoly1"], member))
+    for order, suffix in ((1, ""), (3, "_zeta3")):
+        rng = random.Random(3400 + order)
+        left, right = (_full_matrix(CyclotomicField(order), rng)
+                       for _ in range(2))
+        cases.append((f"matmul_n{MATMUL_N}{suffix}",
+                      lambda A, right=right: A * right, left))
     out, multiplies = {}, {}
     for label, fn, A in cases:
         best = float("inf")

@@ -10,21 +10,23 @@ columns and the tail the sdet on the rest.  Both come from one table per
 call, the signed product of every pair of arrangements of at most h rows
 and columns, each built from its prefix with one multiply; the sdet on a
 set of t rows and columns is the sum of its (t!)^2 pairs in the table.  The
-n^2 preadjoint entries share the table and these sums.  Zero entries,
-products and sums cost no multiply and zero terms are not added.  Ring
-multiplies with no zero entry, product or sum:
+n^2 preadjoint entries share the table and these sums.  The +-head * tail
+terms of a sum, like the products and traces of the adjoint chains, go to
+the entry ring's fused sum of products, ``ring.dot``, together.  Zero
+entries, products and sums cost no multiply and zero terms are not added.
+Ring multiplies (``dot`` terms included) with no zero entry, product or sum:
 
     sdet        n = 3: 45    n = 4: 180    n = 5: 4100
     preadjoint  n = 3: 36    n = 4: 288    n = 5: 1300
 
 An adjoint chain builds its first k - 1 products in full, since each one's
 preadjoint is the next step.  rdet, ldet and charpoly read only the trace
-of the k-th, so it is never built: tr(L R) = sum_i sum_j L_ij R_ji takes
-n^2 ring multiplies where L R takes n^3.  ``adjoint_sequence`` runs the same
-steps and then builds the k-th product.  The Cayley-Hamilton residual and
-the integrality residuals substitute into a polynomial by Horner's rule
-(``rings.substitute``): from the top coefficient down, acc = x acc + c on
-the right and acc = acc x + c on the left.
+of the k-th, so it is never built: tr(L R) = sum_i sum_j L_ij R_ji, one
+``ring.dot`` of n^2 terms, where L R takes n^3.  ``adjoint_sequence`` runs
+the same steps and then builds the k-th product.  The Cayley-Hamilton
+residual and the integrality residuals substitute into a polynomial by
+Horner's rule (``rings.substitute``): from the top coefficient down,
+acc = x acc + c on the right and acc = acc x + c on the left.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .rings import (CostCapError, PolynomialRing, RingError,
 MAX_N = 5                 # the (n!)^2 enumerations stop here
 # An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
 # degree n^k in the entries of A.  At g = 4, on a sampled example-5.2
-# member (seed 1), charpoly takes about 0.4 s at n=5, k=3 and 6 s at n=2,
-# k=9; rdet at n=5, k=3 takes about 0.08 s on unit entries (a scalar 1..3
+# member (seed 1), charpoly takes about 0.2 s at n=5, k=3 and 3 s at n=2,
+# k=9; rdet at n=5, k=3 takes about 0.03 s on unit entries (a scalar 1..3
 # plus one monomial, seed 1); CPython 3.11 on one core of an x86-64 host.
 # The n=2 member's chain products are diagonal, so tracing the last one
 # saves nothing there.  The next degree at n=5, 5^4 = 625, ran over 90 s
@@ -96,8 +98,9 @@ def _pair_sums(A, row_sets, col_sets):
     left out.  S on t >= 2 rows is then the sum of its (t!)^2 arrangement
     pairs read from the table, S on one row is the entry and S on none is
     ``ring.one``; the sums are kept for the call, so sdet and the n^2
-    preadjoint entries share them.  Each (head, tail) pair costs one join
-    multiply, and none when the head, read first, or the tail is zero.
+    preadjoint entries share them.  Each (head, tail) pair is one term of
+    one ``ring.dot`` per S(R, C), unless its head, read first, or its tail
+    is zero.
     With no zero entry, product or sum:
     - sdet, m = n: 36 products + 9 joins = 45 at n = 3, 144 + 36 = 180 at
       n = 4, 400 + 3600 + 100 = 4100 at n = 5;
@@ -147,17 +150,16 @@ def _pair_sums(A, row_sets, col_sets):
         return out
 
     def join(row, col):
-        acc = zero
+        terms = []
         for sr, R1, R2 in row:
             for sc, C1, C2 in col:
                 head = S(R1, C1)
                 tail = None if head is None else S(R2, C2)
-                if tail is None:
-                    continue
-                prod = head * tail if k else head
-                if prod:
-                    acc = acc + (prod if sr * sc > 0 else -prod)
-        return acc
+                if tail is not None:
+                    terms.append((head, tail, sr * sc < 0))
+        # with k = 0 (m <= 1) the tail is ring.one and the head is the term
+        return (ring.dot(terms) if k else
+                sum((-head if neg else head for head, _, neg in terms), zero))
 
     rows = [halves(*r) for r in row_sets]
     return [[join(row, col) for row in rows]
@@ -256,8 +258,8 @@ def _chain_trace(A, k, side):
     takes n^3."""
     _, _, left, right = _chain(A, k, side)
     R = right.rows
-    return sum((a * R[j][i] for i, row in enumerate(left.rows)
-                for j, a in enumerate(row)), A.ring.zero)
+    return A.ring.dot([(a, R[j][i], False) for i, row in enumerate(left.rows)
+                       for j, a in enumerate(row)])
 
 
 def rdet(A, k):

@@ -1,17 +1,18 @@
 """Grassmann (exterior) algebra on g anticommuting generators.
 
 Elements are sparse maps from generator-index subsets (bitmasks) to nonzero
-field scalars.  A product of two elements with several terms each reads
-every coefficient as integer numerators over the operand's common
-denominator, sums the signed products of each output monomial as one int
-(over Q) or as one unreduced vector of 2 phi(n) - 1 ints (folded modulo
-Phi_n once), and builds one shared ``Cyc`` per nonzero output monomial.  A
-product with a one-term operand makes one ``Cyc`` product per disjoint
-pair: its output monomials are distinct, so nothing is summed.  A field
-scalar scales each coefficient.  The paper-style components live here too:
-homogeneous parts, even/odd decomposition, the root-of-unity grading, and a
-linear-constraint solver that computes bases of {x : delta(x) = t*x} by
-exact elimination.
+field scalars.  ``GrassmannAlgebra.dot``, the sum of products under matrix
+products, traces, permutation sums and R[z], reads every coefficient as an
+integer numerator over one common denominator, sums the signed products
+of each output monomial as one int (over Q) or as one unreduced vector of
+2 phi(n) - 1 ints (folded modulo Phi_n once), and builds one shared
+``Cyc`` per nonzero output monomial; a product of two elements with
+several terms each is a one-term dot.  A product with a one-term operand
+makes one ``Cyc`` product per disjoint pair: its output monomials are
+distinct, so nothing is summed.  A field scalar scales each coefficient.
+The paper-style components live here too: homogeneous parts, even/odd
+decomposition, the root-of-unity grading, and a linear-constraint solver
+that computes bases of {x : delta(x) = t*x} by exact elimination.
 """
 
 from __future__ import annotations
@@ -169,6 +170,73 @@ class GrassmannAlgebra(Ring):
         """Dense coordinate vector of x over the monomial basis."""
         return [x.coeffs.get(m, self.field.zero) for m in self.basis_masks()]
 
+    def dot(self, terms):
+        """The sum of x y, or -(x y) where ``negate`` is set, over the
+        (x, y, negate) in ``terms``.  Every coefficient is read as an
+        integer numerator over L, the lcm of all their denominators, so
+        every product lies over L^2.  The signed products of each output
+        monomial are summed as one int (over Q) or as one unreduced vector
+        of 2 phi(n) - 1 ints, folded modulo Phi_n once, and one Cyc is made
+        per nonzero output monomial.  A sum that cancels is ``self.zero``."""
+        work, L = [], 1
+        for x, y, negate in terms:
+            if (x.ring is not self and x.ring != self
+                    or y.ring is not self and y.ring != self):
+                raise ContextMismatchError(
+                    f"dot over {self!r} of elements of {x.ring!r}, {y.ring!r}")
+            if x.coeffs and y.coeffs:
+                work.append((x.coeffs, y.coeffs, -1 if negate else 1))
+                for c in (*x.coeffs.values(), *y.coeffs.values()):
+                    if L % c.den:
+                        L = lcm(L, c.den)
+        field, out = self.field, {}
+        if field.degree == 1:
+            for a, b, sign in work:
+                tb = [(mb, c.num[0] * (L // c.den)) for mb, c in b.items()]
+                for ma, c in a.items():
+                    x = sign * c.num[0] * (L // c.den)
+                    hops = _hops(ma)
+                    for mb, y in tb:
+                        if not ma & mb:
+                            m = ma | mb
+                            if (mb & hops).bit_count() & 1:
+                                out[m] = out.get(m, 0) - x * y
+                            else:
+                                out[m] = out.get(m, 0) + x * y
+            coeffs = {m: _make(field, [s], L * L) for m, s in out.items() if s}
+        else:
+            width = 2 * field.degree - 1
+            for a, b, sign in work:
+                tb = [(mb, c.num if c.den == L
+                       else [v * (L // c.den) for v in c.num])
+                      for mb, c in b.items()]
+                for ma, c in a.items():
+                    s = sign * L // c.den
+                    x = c.num if s == 1 else [v * s for v in c.num]
+                    hops = _hops(ma)
+                    for mb, y in tb:
+                        if not ma & mb:
+                            m = ma | mb
+                            acc = out.get(m)
+                            if acc is None:
+                                acc = out[m] = [0] * width
+                            flip = (mb & hops).bit_count() & 1
+                            for i, xi in enumerate(x):
+                                if xi:
+                                    if flip:
+                                        xi = -xi
+                                    for j, yj in enumerate(y, i):
+                                        acc[j] += xi * yj
+            coeffs = {}
+            for m, acc in out.items():
+                num = _fold(acc, field._reduce)
+                if any(num):
+                    coeffs[m] = _make(field, num, L * L)
+        return GrassmannElement(self, coeffs) if coeffs else self.zero
+
+
+_dot = GrassmannAlgebra.dot  # __mul__'s route; a wrapper on .dot misses it
+
 
 class GrassmannElement(RingElement):
     __slots__ = ("ring", "coeffs")
@@ -210,10 +278,10 @@ class GrassmannElement(RingElement):
         b = other.coeffs
         if not a or not b:
             return ring.zero
-        out = {}
         if len(a) == 1 or len(b) == 1:
             # distinct disjoint monomials give distinct products, and a
             # field has no zero divisors: one Cyc product per pair
+            out = {}
             for ma, ca in a.items():
                 hops = _hops(ma)
                 for mb, cb in b.items():
@@ -221,55 +289,7 @@ class GrassmannElement(RingElement):
                         c = ca * cb
                         out[ma | mb] = -c if (mb & hops).bit_count() & 1 else c
             return GrassmannElement(ring, out)
-        # integer numerators over one common denominator per operand
-        da = db = 1
-        for c in a.values():
-            if da % c.den:
-                da = lcm(da, c.den)
-        for c in b.values():
-            if db % c.den:
-                db = lcm(db, c.den)
-        field = ring.field
-        if field.degree == 1:
-            tb = [(mb, c.num[0] * (db // c.den)) for mb, c in b.items()]
-            for ma, c in a.items():
-                x = c.num[0] * (da // c.den)
-                hops = _hops(ma)
-                for mb, y in tb:
-                    if not ma & mb:
-                        m = ma | mb
-                        if (mb & hops).bit_count() & 1:
-                            out[m] = out.get(m, 0) - x * y
-                        else:
-                            out[m] = out.get(m, 0) + x * y
-            return GrassmannElement(ring, {
-                m: _make(field, [s], da * db) for m, s in out.items() if s})
-        tb = [(mb, c.num if c.den == db else [y * (db // c.den) for y in c.num])
-              for mb, c in b.items()]
-        width = 2 * field.degree - 1
-        for ma, c in a.items():
-            x = c.num if c.den == da else [y * (da // c.den) for y in c.num]
-            hops = _hops(ma)
-            for mb, y in tb:
-                if not ma & mb:
-                    m = ma | mb
-                    acc = out.get(m)
-                    if acc is None:
-                        acc = out[m] = [0] * width
-                    neg = (mb & hops).bit_count() & 1
-                    for i, xi in enumerate(x):
-                        if xi:
-                            if neg:
-                                xi = -xi
-                            for j, yj in enumerate(y, i):
-                                acc[j] += xi * yj
-        # each output monomial is reduced modulo Phi_n once
-        den, coeffs = da * db, {}
-        for m, acc in out.items():
-            num = _fold(acc, field._reduce)
-            if any(num):
-                coeffs[m] = _make(field, num, den)
-        return GrassmannElement(ring, coeffs)
+        return _dot(ring, ((self, other, False),))
 
     def _scalar(self):
         return None if self.coeffs.keys() - {0} else self.scalar_part

@@ -78,9 +78,10 @@ class Matrix:
             self._check_shape(other, same=False)
             if self.ncols != other.nrows:
                 raise MatrixError("dimension mismatch in product")
-            cols = list(zip(*other.rows))
+            dot, cols = self.ring.dot, list(zip(*other.rows))
             return Matrix(self.ring, [
-                [_dot(row, col, self.ring) for col in cols] for row in self.rows])
+                [dot([(a, b, False) for a, b in zip(r, c)]) for c in cols]
+                for r in self.rows])
         return self.map_entries(lambda e: e * other)
 
     def __rmul__(self, other):
@@ -113,10 +114,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join("[" + ", ".join(repr(e) for e in r) + "]" for r in self.rows)
         return f"Matrix({body})"
-
-
-def _dot(row, col, ring):
-    return sum((a * b for a, b in zip(row, col)), ring.zero)
 
 
 def hadamard(A, B):

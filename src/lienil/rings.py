@@ -18,6 +18,7 @@ import keyword
 import math
 import operator
 import re
+import weakref
 from fractions import Fraction
 
 from .scalars import QQ, Cyc
@@ -103,14 +104,17 @@ class RingElement:
 class Ring:
     """Base contract: unital ring over a scalar field, with exact equality.
     A subclass sets, in ``__init__``, ``params`` (the tuple that rings of
-    its type compare and hash by) and its ``zero`` and ``one``, built once.
-    It defines ``from_scalar(c)`` (embed a field scalar, int or Fraction).
+    its type compare and hash by) and gives one shared ``zero`` and
+    ``one``.  It defines ``from_scalar(c)`` (embed a field scalar, int or
+    Fraction).  ``dot(terms)``, the sum of x y, or -(x y) where ``negate``
+    is set, over the (x, y, negate) in ``terms``, refuses an operand of
+    another ring; here it adds the products left to right from ``zero``.
     The rings that matrices and supermatrix specs are built over, the
     Grassmann algebra and the oracle, also define ``is_central(x)``,
     ``try_invert(x)`` (the inverse, or None if x is not a unit or it is
     undecided), ``generating_set()`` (the elements that validate an
     endomorphism) and ``random_element(rng)``.  R[z], which holds
-    characteristic polynomials, defines only ``from_scalar``."""
+    characteristic polynomials, defines only ``from_scalar`` and ``dot``."""
 
     field = QQ
 
@@ -127,6 +131,10 @@ class Ring:
                 raise ContextMismatchError("scalar from a different field")
             return c
         return self.field.from_fraction(c)
+
+    def dot(self, terms):
+        return sum((-(x * y) if negate else x * y for x, y, negate in terms),
+                   self.zero)
 
 
 def commutator(x, y):
@@ -201,15 +209,26 @@ def fixed_ring_member(delta, x):
 # --------------------------------------------------------------------------
 
 class PolynomialRing(Ring):
-    """R[z]; elements are RPolynomial with coefficients in the base ring."""
+    """R[z]; elements are RPolynomial with coefficients in the base ring.
+    Its zero, one and z point back at it, so it keeps them by weak
+    reference: a reference cycle would outlive every charpoly."""
 
     def __init__(self, base):
         self.base = base
         self.field = base.field
         self.params = (base,)
-        self.zero = self.element([])
-        self.one = self.element([base.one])
-        self.z = self.element([base.zero, base.one])
+        self._kept = weakref.WeakValueDictionary()
+
+    def _kept_element(self, name, *coeffs):
+        x = self._kept.get(name)
+        if x is None:
+            x = self._kept[name] = RPolynomial(self, coeffs)
+        return x
+
+    zero = property(lambda self: self._kept_element("zero"))
+    one = property(lambda self: self._kept_element("one", self.base.one))
+    z = property(lambda self: self._kept_element("z", self.base.zero,
+                                                  self.base.one))
 
     def __repr__(self):
         return f"PolynomialRing({self.base!r})"
@@ -226,12 +245,28 @@ class PolynomialRing(Ring):
     def from_scalar(self, c):
         return self.constant(self.base.from_scalar(c))
 
+    def dot(self, terms):
+        """One ``base.dot`` per output power of z, over the products of the
+        nonzero coefficients of every term that meet in that power."""
+        powers = {}
+        for x, y, negate in terms:
+            if x.ring != self or y.ring != self:
+                raise ContextMismatchError(f"dot over {self!r} of elements "
+                                           f"of {x.ring!r}, {y.ring!r}")
+            right = [(j, b) for j, b in enumerate(y.coeffs) if b]
+            for i, a in enumerate(x.coeffs):
+                if a:
+                    for j, b in right:
+                        powers.setdefault(i + j, []).append((a, b, negate))
+        return self.element([self.base.dot(powers.get(k, ()))
+                             for k in range(max(powers, default=-1) + 1)])
+
 
 class RPolynomial(RingElement):
     """Polynomial in a central indeterminate z with coefficients in R,
     ascending powers, trailing zeros trimmed."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "coeffs", "__weakref__")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
@@ -268,21 +303,7 @@ class RPolynomial(RingElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return self.ring.zero
-        # Zero coefficients are skipped; an output coefficient starts from
-        # its first product, and one that no product reaches is zero.
-        out = [None] * (len(self.coeffs) + len(o.coeffs) - 1)
-        right = [(j, b) for j, b in enumerate(o.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in right:
-                p = a * b
-                s = out[i + j]
-                out[i + j] = p if s is None else s + p
-        zero = self.base.zero
-        return self.ring.element([zero if c is None else c for c in out])
+        return self.ring.dot(((self, o, False),))
 
     def _scalar(self):
         return self.coeff(0) if len(self.coeffs) < 2 else None

@@ -142,15 +142,24 @@ def test_zero_skip_commutative():
 
 
 def count_multiplies(monkeypatch, fn, A):
-    """fn(A) and the number of Grassmann ring multiplies it made."""
+    """fn(A) and the number of Grassmann ring multiplies it made: one per
+    ``GrassmannElement.__mul__`` call and one per term of a
+    ``GrassmannAlgebra.dot`` sum (matrix products, traces, joins, R[z]
+    products), whatever its operands, as a ``__mul__`` call counts."""
     calls = []
-    mul = GrassmannElement.__mul__
+    mul, dot = GrassmannElement.__mul__, GrassmannAlgebra.dot
 
     def counted(a, b):
         calls.append(1)
         return mul(a, b)
 
+    def counted_dot(ring, terms):
+        terms = list(terms)
+        calls.extend(1 for _ in terms)
+        return dot(ring, terms)
+
     monkeypatch.setattr(GrassmannElement, "__mul__", counted)
+    monkeypatch.setattr(GrassmannAlgebra, "dot", counted_dot)
     value = fn(A)
     monkeypatch.undo()
     return value, len(calls)
@@ -314,14 +323,22 @@ def test_half_products_match_oracles_over_rz():
 
 @pytest.mark.parametrize("ring", ["grassmann", "oracle"])
 def test_sums_leave_no_reference_cycle(ring):
-    """The table and the sums of a call are freed when it returns: the
-    cyclic collector finds nothing after sdet, preadjoint or rdet."""
+    """The table and the sums of a call are freed when it returns, and the
+    R[z] that charpoly builds holds no element that points back at it: the
+    cyclic collector finds nothing after sdet, preadjoint, rdet, charpoly,
+    the Cayley-Hamilton residual or an integrality certificate (the last
+    two over E only: over the 4x4 symbolic matrix the residual at k = 2
+    runs for minutes)."""
+    calls = [sdet, preadjoint, lambda A: rdet(A, 2), lambda A: charpoly(A, 1)]
     if ring == "grassmann":
-        _, A = grassmann_matrix(4, 4, 46)
+        E, A = grassmann_matrix(4, 4, 46)
+        r, delta = E.random_element(random.Random(47)), epsilon(E)
+        calls += [lambda A: cayley_hamilton_check(A, 2),
+                  lambda A: integrality_certificate(r, delta, 2, 2)]
     else:
         _, A = symbolic_matrix(4)
     gc.collect()
-    for fn in (sdet, preadjoint, lambda A: rdet(A, 2)):
+    for fn in calls:
         fn(A)
         assert gc.collect() == 0
 

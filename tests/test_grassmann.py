@@ -333,3 +333,59 @@ def test_sum_lifts_scalars_refuses_other_rings_and_shares_zero():
     with pytest.raises(ContextMismatchError):
         x + GrassmannAlgebra(2, QQ).one
     assert x + (-x) is E.zero and x - x is E.zero
+
+
+def sum_of_products(ring, terms):
+    """x y, or -(x y) where negate is set, added left to right from zero:
+    the loop that ``dot`` fuses, kept as its oracle."""
+    acc = ring.zero
+    for x, y, negate in terms:
+        acc = acc + (-(x * y) if negate else x * y)
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 3, 4)), st.integers(0, 6),
+       st.lists(st.tuples(st.sampled_from(("zero", "one", "sparse", "dense")),
+                          st.sampled_from(("zero", "one", "sparse", "dense")),
+                          st.booleans()), max_size=5),
+       st.integers(0, 10 ** 6))
+def test_dot_matches_sum_of_products(order, g, kinds, seed):
+    """Over Q, Q(zeta3) and Q(i), with the denominators 1, 2, 3 and 6
+    mixed, negated terms and zero operands; the coefficients are the
+    shared, lowest-terms Cyc values that ``_make`` hands out."""
+    field = CyclotomicField(order)
+    E = GrassmannAlgebra(g, field)
+    rng = random.Random(seed)
+    terms = [(product_operand(E, rng, a), product_operand(E, rng, b), negate)
+             for a, b, negate in kinds]
+    value = E.dot(terms)
+    assert value.coeffs == sum_of_products(E, terms).coeffs
+    assert value.coeffs or value is E.zero
+    for c in value.coeffs.values():
+        assert type(c) is Cyc and c.field is field and c
+        assert c.den > 0 and gcd(c.den, *c.num) == 1
+        shared = field._shared.get((c.num, c.den))
+        assert shared is c or (shared is None
+                               and len(field._shared) >= SHARED_VALUES)
+
+
+@pytest.mark.parametrize("order", [1, 3, 4])
+def test_dot_shares_zero_and_checks_rings(order):
+    """A sum that cancels is ``E.zero`` itself.  Elements of an equal
+    algebra built apart are summed, as ``*`` multiplies them; elements of
+    another algebra are refused on either side."""
+    field = CyclotomicField(order)
+    E, twin = GrassmannAlgebra(3, field), GrassmannAlgebra(3, field)
+    e = field.e
+    x = E.element({0: Fraction(1, 2), 0b001: e, 0b110: Fraction(-2, 3)})
+    y = twin.element({0: 3, 0b010: Fraction(5, 6) * e, 0b101: 1})
+    assert E.dot([(x, y, False), (x, y, True)]) is E.zero
+    assert E.dot([]) is E.zero and E.dot([(x, E.zero, False)]) is E.zero
+    assert E.dot([(x, y, False), (y, x, True)]) == x * y - y * x
+    assert twin.dot([(x, y, True)]) == -(x * y)
+    for other in (GrassmannAlgebra(2, field),
+                  GrassmannAlgebra(3, CyclotomicField(5))):
+        for bad in ((x, other.one, False), (other.one, y, False)):
+            with pytest.raises(ContextMismatchError):
+                E.dot([(x, y, False), bad])

@@ -382,3 +382,44 @@ def test_oracle_arithmetic_matches_sympy(p, q, k):
     if d.is_Rational:
         d = Fraction(int(d.p), int(d.q))
         assert x - y == d and hash(x - y) == hash(d)
+
+
+def _left_to_right(ring, terms):
+    acc = ring.zero
+    for x, y, negate in terms:
+        acc = acc + (-(x * y) if negate else x * y)
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["oracle", "polynomial"])
+def test_dot_matches_sum_of_products(kind):
+    """``dot`` of the oracle ring (the base loop) and of R[z] (one base
+    ``dot`` per power of z) against the products added left to right,
+    with negated terms and zero operands.  An equal ring built apart is
+    accepted, and another ring is refused."""
+    rng = random.Random(7)
+    if kind == "oracle":
+        ring, twin = OracleRing(["a", "b"]), OracleRing(("a", "b"))
+        other = OracleRing(["a"])
+    else:
+        E = GrassmannAlgebra(3, CyclotomicField(3))
+        ring, twin = PolynomialRing(E), PolynomialRing(E)
+        other = PolynomialRing(GrassmannAlgebra(3, QQ))
+    for _ in range(30):
+        terms = []
+        for _ in range(rng.randrange(0, 5)):
+            x, y = (ring.zero if rng.random() < 0.2 else
+                    random_polynomial(ring, rng) if kind == "polynomial"
+                    else ring.random_element(rng) for _ in range(2))
+            terms.append((x, y, rng.random() < 0.5))
+        assert ring.dot(terms) == _left_to_right(ring, terms)
+        if terms:
+            x, y, negate = terms[0]
+            assert ring.dot(terms + [(x, y, not negate)]) == \
+                ring.dot(terms[1:])
+    x = twin.one + twin.one
+    assert ring.dot([(x, ring.one, True)]) == -x
+    with pytest.raises(ContextMismatchError):
+        ring.dot([(ring.one, other.one, False)])
+    with pytest.raises(ContextMismatchError):
+        ring.dot([(other.one, ring.one, False)])
