@@ -32,7 +32,9 @@ two seeded 4 x 4 matrices whose g = 4 entries have all 16 monomials, over
 Q and over Q(zeta3) (``matmul_n4``, ``matmul_n4_zeta3``).  Each is the
 best of three calls in this interpreter.  Next to each time it prints the
 Grassmann ring multiplies of one more call, counted by wrapping
-``GrassmannElement.__mul__`` and ``GrassmannAlgebra.dot`` in this script.
+``GrassmannElement.__mul__`` and ``GrassmannAlgebra.dot`` in this script,
+and on the ``sdet``/``preadjoint`` rows the items that call hands to
+``map_reduce_sum`` (what the benchmark's ``dets.perm_terms`` counts).
 
 The oracle section prints the wall seconds of acceptance criterion 3
 (``sdet = n! det`` and ``A* = (n-1)! adj`` on symbolic n = 2, 3, 4) and
@@ -234,12 +236,14 @@ def _full_matrix(field, rng):
                             for _ in range(MATMUL_N)])
 
 
-def _multiplies(fn, A):
-    """The number of Grassmann ring multiplies that fn(A) makes: one per
-    ``GrassmannElement.__mul__`` call and one per term of a
-    ``GrassmannAlgebra.dot`` sum, whatever its operands."""
-    count = 0
-    mul, dot = GrassmannElement.__mul__, GrassmannAlgebra.dot
+def _counts(fn, A):
+    """(multiplies, items): the Grassmann ring multiplies that fn(A) makes,
+    one per ``GrassmannElement.__mul__`` call and one per term of a
+    ``GrassmannAlgebra.dot`` sum, whatever its operands, and the items it
+    hands to ``dets.map_reduce_sum``."""
+    count = items = 0
+    mul, dot, reduce = (GrassmannElement.__mul__, GrassmannAlgebra.dot,
+                        dets.map_reduce_sum)
 
     def counted(a, b):
         nonlocal count
@@ -252,17 +256,26 @@ def _multiplies(fn, A):
         count += len(terms)
         return dot(ring, terms)
 
+    def counted_reduce(xs, term, zero):
+        nonlocal items
+        xs = list(xs)
+        items += len(xs)
+        return reduce(xs, term, zero)
+
     GrassmannElement.__mul__, GrassmannAlgebra.dot = counted, counted_dot
+    dets.map_reduce_sum = counted_reduce
     try:
         fn(A)
     finally:
         GrassmannElement.__mul__, GrassmannAlgebra.dot = mul, dot
-    return count
+        dets.map_reduce_sum = reduce
+    return count, items
 
 
 def det_cases():
     """Best-of-DET_REPEATS milliseconds of the permutation double sums and
-    the adjoint chains, and the ring multiplies of each."""
+    the adjoint chains, the ring multiplies of each, and the map_reduce_sum
+    items of each sdet and preadjoint."""
     algebra = GrassmannAlgebra(4, QQ)
     cases = []
     dense = {}
@@ -289,7 +302,7 @@ def det_cases():
                        for _ in range(2))
         cases.append((f"matmul_n{MATMUL_N}{suffix}",
                       lambda A, right=right: A * right, left))
-    out, multiplies = {}, {}
+    out, multiplies, items = {}, {}, {}
     for label, fn, A in cases:
         best = float("inf")
         for _ in range(DET_REPEATS):
@@ -297,8 +310,10 @@ def det_cases():
             fn(A)
             best = min(best, time.perf_counter() - t0)
         out[label] = best * 1e3
-        multiplies[label] = _multiplies(fn, A)
-    return out, multiplies
+        multiplies[label], count = _counts(fn, A)
+        if label.startswith(("sdet", "preadjoint")):
+            items[label] = count
+    return out, multiplies, items
 
 
 def oracle_cases():
@@ -379,9 +394,12 @@ def main(argv=None):
             us.update(grassmann_cases(g, order))
     for name, value in us.items():
         print(f"{name:<24} {value:9.2f} us/op")
-    det_ms, det_muls = det_cases()
+    det_ms, det_muls, det_items = det_cases()
     for name, value in det_ms.items():
-        print(f"{name:<24} {value:9.1f} ms  {det_muls[name]} multiplies")
+        items = (f"  {det_items[name]} sum items" if name in det_items
+                 else "")
+        print(f"{name:<24} {value:9.1f} ms  {det_muls[name]} multiplies"
+              f"{items}")
     oracle = oracle_cases()
     for name, value in oracle.items():
         print(f"{name:<24} {value:9.3f} {name.rsplit('_', 1)[1]}")
@@ -401,6 +419,7 @@ def main(argv=None):
             "us_per_op": {k: round(v, 3) for k, v in us.items()},
             "dets_ms": {k: round(v, 1) for k, v in det_ms.items()},
             "dets_multiplies": det_muls,
+            "dets_sum_items": det_items,
             "oracle": {k: round(v, 3) for k, v in oracle.items()},
             "cold_start_ms": {k: round(v, 1) for k, v in cold.items()},
             "cold_lienil_modules": modules}

@@ -6,17 +6,16 @@ sdet and every preadjoint entry are one restricted double sum,
 ``_pair_sums``, met in the middle: a sum on m rows is +-head * tail summed
 over the ways to split its rows and its columns into the first
 h = m - m // 2 and the rest, the head the sdet on the first h rows and
-columns and the tail the sdet on the rest.  Both come from one table per
-call, the signed product of every pair of arrangements of at most h rows
-and columns, each built from its prefix with one multiply; the sdet on a
-set of t rows and columns is the sum of its (t!)^2 pairs in the table.  The
-n^2 preadjoint entries share the table and these sums.  The +-head * tail
-terms of a sum, like the products and traces of the adjoint chains, go to
-the entry ring's fused sum of products, ``ring.dot``, together.  Zero
-entries, products and sums cost no multiply and zero terms are not added.
-Ring multiplies (``dot`` terms included) with no zero entry, product or sum:
+columns and the tail the sdet on the rest.  The sdet on t >= 2 rows and
+columns, ``_subset_sum``, sums t^2 products of an sdet on one row fewer and
+an entry, and is kept for the call, so the n^2 preadjoint entries share
+these sums.  The +-head * tail terms of a sum, like the products and
+traces of the adjoint chains, go to the entry ring's fused sum of
+products, ``ring.dot``, together.  Zero entries and sums cost no multiply
+and zero terms are not added.  Ring multiplies (``dot`` terms included)
+with no zero entry or sum:
 
-    sdet        n = 3: 45    n = 4: 180    n = 5: 4100
+    sdet        n = 3: 45    n = 4: 180    n = 5: 1400
     preadjoint  n = 3: 36    n = 4: 288    n = 5: 1300
 
 An adjoint chain builds its first k - 1 products in full, since each one's
@@ -76,6 +75,33 @@ def _sign(perm):
     return -1 if inv & 1 else 1
 
 
+def _subset_sum(signed, memo, ring, R, C):
+    """S(R, C), the sdet on the rows R and columns C (increasing tuples of
+    one size t), or None when it is zero: ``ring.one`` on no rows, the entry
+    on one.  signed[v][w] is (a_vw, -a_vw), or (a_vw,) if no sum on 2 or
+    more rows is read, and None if a_vw = 0.  On t >= 2 rows the last
+    position takes a row v, the i-th of R, and a column w, the j-th of C,
+    so S(R, C), kept in memo, sums t^2 terms (-1)^(i+j) S(R - v, C - w) a_vw
+    (t - 1 - i and t - 1 - j entries come after v and w); a zero entry or
+    sum on one row fewer gives no term."""
+    t = len(R)
+    if t < 2:
+        pair = signed[R[0]][C[0]] if t else (ring.one,)
+        return pair and pair[0]
+    if (R, C) not in memo:
+        def term(ij):
+            i, j = ij
+            pair = signed[R[i]][C[j]]
+            if pair:
+                sub = _subset_sum(signed, memo, ring, R[:i] + R[i + 1:],
+                                  C[:j] + C[j + 1:])
+                if sub is not None:
+                    return sub * pair[i + j & 1]
+        memo[R, C] = map_reduce_sum(product(range(t), repeat=2), term,
+                                    ring.zero) or None
+    return memo[R, C]
+
+
 def _pair_sums(A, row_sets, col_sets):
     """[[S(R, C) for R in row_sets] for C in col_sets].  A set is a pair
     (values, sign) with its values increasing, all sets have the same size
@@ -91,56 +117,26 @@ def _pair_sums(A, row_sets, col_sets):
     regrouped by left distributivity and associativity alone; the head
     S(R', C') stays on the left.
 
-    A call first builds one table: for every pair of arrangements p, q of
-    t <= h distinct rows and columns of A, sgn(p) sgn(q) a_{p1 q1} ...
-    a_{pt qt}, each from its prefix with one multiply (the sign rides on
-    the last factor, a_ij or -a_ij).  Zero entries and zero products are
-    left out.  S on t >= 2 rows is then the sum of its (t!)^2 arrangement
-    pairs read from the table, S on one row is the entry and S on none is
-    ``ring.one``; the sums are kept for the call, so sdet and the n^2
-    preadjoint entries share them.  Each (head, tail) pair is one term of
-    one ``ring.dot`` per S(R, C), unless its head, read first, or its tail
-    is zero.
-    With no zero entry, product or sum:
-    - sdet, m = n: 36 products + 9 joins = 45 at n = 3, 144 + 36 = 180 at
-      n = 4, 400 + 3600 + 100 = 4100 at n = 5;
+    Heads and tails are ``_subset_sum``s, kept for the call and shared by
+    sdet and the n^2 preadjoint entries.  A nonzero (head, tail) pair is one
+    term of one ``ring.dot`` per S(R, C).  A tail that is a sum (k >= 2) is
+    read first, so a zero tail builds no head; an entry tail is read last.
+    With no zero entry or sum, a sum on t >= 2 rows takes t^2 multiplies:
+    - sdet, m = n: 9 x 4 on 2 rows + 9 joins = 45 at n = 3, 36 x 4 + 36 =
+      180 at n = 4, 100 x 4 + 100 x 9 on 3 rows + 100 joins = 1400 at n = 5;
     - the preadjoint, n^2 sums at m = n - 1: 9 x 4 = 36 joins at n = 3,
-      144 + 16 x 9 = 288 at n = 4, 400 + 25 x 36 = 1300 at n = 5.
-    With h <= 1 the table holds only the entries, and with k = 0 (m <= 1)
-    the head is the term."""
-    n, ring, a = A.nrows, A.ring, A.rows
-    zero = ring.zero
+      36 x 4 + 16 x 9 = 288 at n = 4, 100 x 4 + 25 x 36 = 1300 at n = 5."""
+    ring = A.ring
     m = len(row_sets[0][0])
     k = m // 2
     h = m - k
-    level = {((i,), (j,)): x for i, row in enumerate(a)
-             for j, x in enumerate(row) if x}
-    table = dict(level)
-    if h > 1:
-        signed = [[(x, -x) if x else None for x in row] for row in a]
-    for _ in range(h - 1):
-        level, prefixes = {}, level
-        for (p, q), prefix in prefixes.items():
-            for i in range(n):
-                if i in p:
-                    continue
-                flips = sum(v > i for v in p)
-                for j, pair in enumerate(signed[i]):
-                    if pair and j not in q:
-                        x = prefix * pair[flips + sum(w > j for w in q) & 1]
-                        if x:
-                            level[p + (i,), q + (j,)] = x
-        table.update(level)
+    signed = [[((x, -x) if h > 1 else (x,)) if x else None for x in row]
+              for row in A.rows]
     sums = {}
 
     def S(R, C):
-        if len(R) < 2:
-            return table.get((R, C)) if R else ring.one
-        if (R, C) not in sums:
-            sums[R, C] = map_reduce_sum(
-                product(permutations(R), permutations(C)), table.get,
-                zero) or None
-        return sums[R, C]
+        return sums[R, C] if (R, C) in sums else _subset_sum(
+            signed, sums, ring, R, C)
 
     def halves(values, sign):
         out = []
@@ -153,13 +149,17 @@ def _pair_sums(A, row_sets, col_sets):
         terms = []
         for sr, R1, R2 in row:
             for sc, C1, C2 in col:
-                head = S(R1, C1)
-                tail = None if head is None else S(R2, C2)
-                if tail is not None:
+                if k > 1:
+                    tail = S(R2, C2)
+                    head = None if tail is None else S(R1, C1)
+                else:
+                    head = S(R1, C1)
+                    tail = None if head is None else S(R2, C2)
+                if head is not None and tail is not None:
                     terms.append((head, tail, sr * sc < 0))
         # with k = 0 (m <= 1) the tail is ring.one and the head is the term
-        return (ring.dot(terms) if k else
-                sum((-head if neg else head for head, _, neg in terms), zero))
+        return (ring.dot(terms) if k else sum(
+            (-head if neg else head for head, _, neg in terms), ring.zero))
 
     rows = [halves(*r) for r in row_sets]
     return [[join(row, col) for row in rows]

@@ -52,13 +52,11 @@ def grassmann_to_json(x):
 
 
 def grassmann_from_json(algebra, doc):
+    known_fields(doc, {"g", "coeffs"}, "a Grassmann element")
     if doc.get("g", algebra.g) != algebra.g:
         raise SerializationError("generator count mismatch")
-    terms = doc.get("coeffs", {})
-    if not isinstance(terms, dict):
-        raise SerializationError("Grassmann coeffs must be an object")
     coeffs = {}
-    for key, text in terms.items():
+    for key, text in field(doc, "coeffs", dict).items():
         if not isinstance(text, str):
             raise SerializationError(
                 f"Grassmann coefficient {text!r} must be a string")
@@ -136,10 +134,12 @@ def ring_from_json(doc):
         raise SerializationError("a ring descriptor must be an object")
     kind = doc.get("type")
     if kind == "grassmann":
+        known_fields(doc, {"type", "g", "root_order"}, "a Grassmann ring")
         return GrassmannAlgebra(
             _int(field(doc, "g"), "g"),
             CyclotomicField(_int(doc.get("root_order", 1), "root_order")))
     if kind == "oracle":
+        known_fields(doc, {"type", "variables"}, "an oracle ring")
         return OracleRing(field(doc, "variables", list))
     raise SerializationError(f"unknown ring type {kind!r}")
 
@@ -192,6 +192,14 @@ def field(doc, key, kind=object):
     if not isinstance(doc[key], kind):
         raise SerializationError(f"field {key!r} must be a {kind.__name__}")
     return doc[key]
+
+
+def known_fields(doc, allowed, what):
+    """Refuse a doc with a field outside allowed, naming the first one."""
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise SerializationError(
+            f"{what} has an unknown field {min(unknown)!r}")
 
 
 def spec_from_json(doc, ring=None):     # None: decode doc["ring"]

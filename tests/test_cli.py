@@ -337,16 +337,31 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_missing_keys_name_the_field(tmp_path, capsys, monkeypatch):
-    """A Grassmann ring without "g" and a matrix without "entries" are bad
-    input, and the error names the missing field.  A KeyError from inside
-    the library is not bad input: it is not turned into exit 2."""
-    for key, doc in (("g", {"ring": {"type": "grassmann"}, "matrix": PAIR}),
-                     ("entries", {"ring": GRING, "matrix": {"n": 2}})):
-        assert main(["sdet", write(tmp_path, f"no-{key}.json", doc)]) == 2
+    """A Grassmann ring without "g", a matrix without "entries" and an
+    element object without "coeffs" (which is not zero) are bad input, and
+    so is a field that an element object or a ring descriptor does not
+    have (a misspelled "root_order" does not fall back to Q): the error
+    names the field.  A KeyError from inside the library is not bad input:
+    it is not turned into exit 2."""
+    def one(entry):
+        return {"n": 1, "entries": [[entry]]}
+
+    cases = [
+        ("missing field 'g'", {"ring": {"type": "grassmann"}, "matrix": PAIR}),
+        ("missing field 'entries'", {"ring": GRING, "matrix": {"n": 2}}),
+        ("missing field 'coeffs'", {"ring": GRING, "matrix": one({"g": 2})}),
+        ("a Grassmann element has an unknown field '1'",
+         {"ring": GRING, "matrix": one({"1": "2"})}),
+        ("a Grassmann ring has an unknown field 'root_ordr'",
+         {"ring": {"type": "grassmann", "g": 2, "root_ordr": 3},
+          "matrix": PAIR}),
+        ("an oracle ring has an unknown field 'g'",
+         {"ring": dict(ORING, g=2), "matrix": OMATRIX})]
+    for i, (error, doc) in enumerate(cases):
+        assert main(["sdet", write(tmp_path, f"case{i}.json", doc)]) == 2
         out, err = capsys.readouterr()
-        assert out == "", key
-        assert json.loads(err)["error"] == (
-            f"SerializationError: missing field {key!r}")
+        assert out == "", error
+        assert json.loads(err)["error"] == "SerializationError: " + error
     from lienil import dets
 
     def broken(A):

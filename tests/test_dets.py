@@ -3,7 +3,7 @@ Cayley-Hamilton, and integrality certificates."""
 
 import gc
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -167,16 +167,17 @@ def count_multiplies(monkeypatch, fn, A):
 
 def test_zero_skip_multiplies_only_nonzero_terms(monkeypatch):
     """On a 4x4 diagonal matrix of units only the 24 pairs alpha = beta
-    meet no zero entry (2304 multiplies without the skip).  The table of
-    arrangement products (see ``dets._pair_sums``) holds the 4 diagonal
-    entries and, for sdet and the preadjoint alike (h = 2), the 12 pairs
-    ((i, j), (i, j)) with i != j, one multiply each: 12.  sdet joins a head
-    S(R', C') on 2 rows with the tail on the other 2; both are nonzero only
-    for the 6 diagonal R' = C': 12 + 6 = 18.  A diagonal preadjoint entry
-    (s, s) joins the 3 diagonal heads on 2 of its rows with a diagonal
-    entry, 3 joins each: 12.  An off-diagonal entry (r, s) meets a nonzero
-    head only on the rows other than r and s, with the tail a_rs = 0: no
-    join.  12 + 12 = 24."""
+    meet no zero entry (2304 multiplies without the skip).  A subset sum
+    S(R, C) on 2 rows (see ``dets._subset_sum``) is nonzero only when
+    R = C, and then takes 2 multiplies, a_vv a_ww and a_ww a_vv; on R != C
+    each of its terms meets a zero entry.  sdet (h = k = 2) reads the 36
+    sums on 2 rows as tails, 6 of them diagonal: 12.  It joins a head only
+    to the 6 nonzero tails, and each head R' = C' is diagonal and already
+    kept: 12 + 6 = 18.  The preadjoint (h = 2, k = 1) reads the same 6
+    diagonal sums as heads, kept for the call: 12.  A diagonal entry (s, s)
+    joins its 3 diagonal heads with a diagonal entry, 3 joins each: 12.  An
+    off-diagonal entry (r, s) has one diagonal head, on the rows other than
+    r and s, with the tail a_rs = 0: no join.  12 + 12 = 24."""
     E = GrassmannAlgebra(4, QQ)
     A = Matrix(E, [[E.element({0: i + 2, 1 << i: 1}) if i == j else E.zero
                     for j in range(4)] for i in range(4)])
@@ -188,33 +189,37 @@ def test_zero_skip_multiplies_only_nonzero_terms(monkeypatch):
 
 
 @pytest.mark.parametrize("fn, n, expected", [
-    (sdet, 3, 45), (sdet, 4, 174), (sdet, 5, 4091),
+    (sdet, 3, 45), (sdet, 4, 174), (sdet, 5, 1355),
     (preadjoint, 3, 36), (preadjoint, 4, 276), (preadjoint, 5, 1264)])
 def test_dense_multiplies_halves_once(monkeypatch, fn, n, expected):
-    """No entry and no product is zero (every entry is a unit), so the
-    table of arrangement products (see ``dets._pair_sums``) is full: P(n, t)^2
-    products on t = 2..h rows, one multiply each.  A sum over m positions
-    then makes one join per nonzero (head, tail) pair: the head on the first
-    h = m - m // 2 rows, the tail on the other m // 2.  Over g = 2 some of
-    the sums S(R, C) are zero (rows R, columns C, counted from 0):
+    """No entry is zero (every entry is a unit).  A sum over m positions
+    joins a head on the first h = m - m // 2 rows with a tail on the other
+    m // 2, one multiply per nonzero (head, tail) pair.  Heads and tails are
+    subset sums S(R, C) (see ``dets._subset_sum``): on t >= 2 rows, t^2
+    terms S(R - v, C - w) a_vw, one multiply each unless S(R - v, C - w)
+    is zero.  A tail on 2 rows is read before its head.  Over g = 2
+    some sums are zero (rows R, columns C, counted from 0):
     - n = 4: ({2, 3}, {0, 1}), ({2, 3}, {0, 2}) and ({2, 3}, {1, 2}) on two
       rows;
     - n = 5: ({0, 4}, {0, 1}) and ({1, 2}, {0, 1}) on two rows, and seven
       on three rows, six of them with the columns {0, 1, 3}.
 
-    - sdet, n = 3: 36 products + 9 joins = 45.
-    - sdet, n = 4: 144 products + 36 joins = 180.  Each zero 2x2 sum is the
-      head of one join and the tail of another: 180 - 3 x 2 = 174.
-    - sdet, n = 5: 400 + 3600 products + 100 joins = 4100.  Each zero 2x2
-      sum is the tail of one join, each zero 3x3 sum the head of one, and
-      no join has both: 4100 - 2 - 7 = 4091.
+    - sdet, n = 3: 9 sums on 2 rows of 4 terms + 9 joins = 45.
+    - sdet, n = 4: 36 x 4 + 36 joins = 180.  Each zero 2x2 sum is the head
+      of one join and the tail of another: 180 - 3 x 2 = 174.
+    - sdet, n = 5: 100 x 4 on 2 rows + 100 x 9 on 3 rows + 100 joins =
+      400 + 900 + 100 = 1400.  Every 2x2 sum is a tail.  The two zero ones
+      skip their heads ({1, 2, 3}, {2, 3, 4}) and ({0, 3, 4}, {2, 3, 4})
+      (2 x 9) and their joins (2).  A zero 2x2 sum is a term of the 9 heads
+      on 3 rows that hold it, none of them skipped (2 x 9), and the seven
+      zero 3x3 heads join nothing (7): 1400 - 18 - 2 - 18 - 7 = 1355.
     - preadjoint, n = 3: 9 entries of 4 joins, each an entry times an
       entry: 36.
-    - preadjoint, n = 4: 144 products + 16 entries of 9 joins = 288.  A zero
+    - preadjoint, n = 4: 36 x 4 + 16 entries of 9 joins = 288.  A zero
       2x2 sum is a head in the 4 entries whose rows and columns hold it:
       288 - 3 x 4 = 276.
-    - preadjoint, n = 5: 400 products + 25 entries of 36 joins = 1300.  A
-      zero 2x2 sum lies in 9 entries, as a head and as a tail in each:
+    - preadjoint, n = 5: 100 x 4 + 25 entries of 36 joins = 1300.  A zero
+      2x2 sum lies in 9 entries, as a head and as a tail in each:
       1300 - 2 x 18 = 1264."""
     E = GrassmannAlgebra(2, QQ)
     rng = random.Random(n)
@@ -225,11 +230,43 @@ def test_dense_multiplies_halves_once(monkeypatch, fn, n, expected):
     assert calls == expected
 
 
+def test_zero_tail_builds_no_head(monkeypatch):
+    """A 5x5 matrix of units with a_33 = a_43 = 0.  Its zero 2x2 sums are
+    the four tails S({3, 4}, {3, w}), w = 0, 1, 2, 4, so the 5x5 sdet never
+    builds their heads S({0, 1, 2}, {0, 1, 2, 4} - {w}) (4 x 9 multiplies).
+    - Sums on 2 rows, all 100 read as tails, 4 multiplies each less 2 per
+      diagonal with a zero entry: the 4 on the rows {3, 4} with a column 3
+      lose 4 each, and the 12 each on the rows {3, x} and {4, x}, x < 3,
+      with a column 3 lose 2 each: 400 - 16 - 24 - 24 = 336.
+    - Heads on 3 rows, 9 multiplies each less one per zero entry or zero
+      sum on 2 rows: 18 heads on {3, x, x'} and 18 on {4, x, x'} with a
+      column 3 lose one each, and the 18 on {3, 4, x} with a column 3 lose
+      four each (two zero entries, two zero tails):
+      900 - 36 - 18 - 18 - 72 = 756.
+    - Joins: 100 less the 4 zero tails, 96.
+    336 + 756 + 96 = 1188, where reading each head first builds 1224."""
+    E = GrassmannAlgebra(4, QQ)
+    rng = random.Random(1)
+    rows = [[E.element({0: rng.choice((1, 2, 3)), rng.randrange(1, 16): 1})
+             for _ in range(5)] for _ in range(5)]
+    rows[3][3] = rows[4][3] = E.zero
+    A = Matrix(E, rows)
+    zero = {(t, R, C) for t in (2, 3) for R in combinations(range(5), t)
+            for C in combinations(range(5), t)
+            if not sdet_first_form(Matrix(E, [[rows[i][j] for j in C]
+                                              for i in R]))}
+    assert zero == {(2, (3, 4), (w, 3) if w < 3 else (3, w))
+                    for w in (0, 1, 2, 4)}
+    value, calls = count_multiplies(monkeypatch, sdet, A)
+    assert calls == 1188
+    assert value == sdet_first_form(A)
+
+
 def restricted_pair_sum(A, r, s):
     """The paper's preadjoint entry (r, s), term by term: the sum over
     alpha, beta in S_n with alpha(s) = s and beta(s) = r of
     sgn(alpha) sgn(beta) times a_{alpha(t),beta(t)} over the positions
-    t != s, multiplied in order."""
+    t != s, multiplied in order; a term with a zero factor is left out."""
     n, ring = A.nrows, A.ring
 
     def sign(perm):
@@ -239,20 +276,70 @@ def restricted_pair_sum(A, r, s):
 
     acc = ring.zero
     for alpha in permutations(range(n)):
+        if alpha[s] != s:
+            continue
         for beta in permutations(range(n)):
-            if alpha[s] != s or beta[s] != r:
+            if beta[s] != r:
+                continue
+            factors = [A.rows[alpha[t]][beta[t]] for t in range(n) if t != s]
+            if not all(factors):
                 continue
             prod = ring.one
-            for t in range(n):
-                if t != s:
-                    prod = prod * A.rows[alpha[t]][beta[t]]
+            for x in factors:
+                prod = prod * x
             acc = acc + (prod if sign(alpha) * sign(beta) > 0 else -prod)
     return acc
 
 
+def sparse_cases():
+    """n x n matrices, n = 1..5, over four rings, named by their ids.  The
+    diagonal is nonzero and an entry off it is zero with probability 1/3.
+    Off the diagonal, the rows {0, 1} are zero on the last two columns, so
+    from n = 3 the 2x2 sum there and every 3x3 sum holding it are zero.
+    The ``zero_row`` matrices also have a zero last row.  A Grassmann entry
+    is a scalar plus odd monomials, so entries do not commute, and an R[z]
+    entry has degree at most 1."""
+    E = GrassmannAlgebra(4, QQ)
+    zeta3 = GrassmannAlgebra(4, CyclotomicField(3))
+    odd = [m for m in range(E.dim) if m.bit_count() % 2]
+    cases = []
+    for n in range(1, 6):
+        oracle = OracleRing([f"a{i}{j}" for i in range(n) for j in range(n)])
+        rz = PolynomialRing(GrassmannAlgebra(2, QQ))
+        for zero_row in (False, True):
+            rng = random.Random(10 * n + zero_row)
+
+            def zero(i, j):
+                if zero_row and i == n - 1:
+                    return True
+                return i != j and (i < 2 and j >= n - 2
+                                   or rng.random() < 1 / 3)
+
+            def grassmann(R):
+                e = R.field.primitive_root(R.field.order)
+                return R.element({0: rng.choice((1, -2)),
+                                  rng.choice(odd): e ** rng.randrange(3),
+                                  rng.choice(odd): rng.choice((-1, 3))})
+
+            entries = {
+                "grassmann_q": (E, lambda i, j: grassmann(E)),
+                "grassmann_zeta3": (zeta3, lambda i, j: grassmann(zeta3)),
+                "oracle": (oracle, lambda i, j: oracle.var(f"a{i}{j}")),
+                "rz": (rz, lambda i, j: rz.element(
+                    [rz.base.random_unit(rng), rz.base.random_element(rng)]))}
+            for name, (ring, entry) in entries.items():
+                rows = [[ring.zero if zero(i, j) else entry(i, j)
+                         for j in range(n)] for i in range(n)]
+                cases.append(pytest.param(
+                    Matrix(ring, rows),
+                    id=f"{name}_n{n}" + ("_zero_row" if zero_row else "")))
+    return cases
+
+
 def restricted_sum_cases():
-    """4x4 matrices over three rings, named by their ids.  The Grassmann
-    entries carry odd monomials, so they do not commute."""
+    """4x4 matrices over three rings and the ``sparse_cases``, named by
+    their ids.  The Grassmann entries carry odd monomials, so they do not
+    commute."""
     E = GrassmannAlgebra(4, QQ)
     rng = random.Random(404)
     odd = [m for m in range(E.dim) if m.bit_count() % 2]
@@ -271,22 +358,21 @@ def restricted_sum_cases():
     B = Matrix.identity(rz, 4) * rz.z - C.map_entries(rz.constant, ring=rz)
     return [pytest.param(noncommuting, id="grassmann_odd"),
             pytest.param(sparse_matrix(zeta3, 4, 304), id="sparse_zeta3"),
-            pytest.param(B, id="rz")]
+            pytest.param(B, id="rz")] + sparse_cases()
 
 
 @pytest.mark.parametrize("A", restricted_sum_cases())
 def test_preadjoint_matches_restricted_pair_sum(A):
     """Every entry (r, s) of A*, r + s odd included, against the paper's
-    restricted double sum written out from itertools.permutations."""
+    restricted double sum written out from itertools.permutations, and
+    sdet against its first form: neither route shares code with the subset
+    sums."""
+    n = A.nrows
     adj = preadjoint(A)
-    parities = set()
-    for r in range(4):
-        for s in range(4):
+    for r in range(n):
+        for s in range(n):
             assert adj.rows[r][s] == restricted_pair_sum(A, r, s)
-            parities.add((r + s) % 2)
-    assert parities == {0, 1}
-    if isinstance(A.ring, PolynomialRing):
-        assert sdet(A) == sdet_first_form(A)
+    assert sdet(A) == sdet_first_form(A)
 
 
 def split_cases():
