@@ -36,6 +36,16 @@ Grassmann ring multiplies of one more call, counted by wrapping
 and on the ``sdet``/``preadjoint`` rows the items that call hands to
 ``map_reduce_sum`` (what the benchmark's ``dets.perm_terms`` counts).
 
+The construction section prints the milliseconds of two construct_cyc
+classes of the benchmark: the shape of example 5.2 over Q(i) at n = 4,
+g = 4 and at n = 2, g = 6 (``shape_5_2_n4_g4``, ``shape_5_2_n2_g6``), with
+the ``solve_constraint`` calls each makes, and the blow-up of a seeded
+transitive 6 x 6 matrix of g = 5 units over Q(i) to 12 x 12 and its
+square (``blowup_square_g5_12``), with the ``GrassmannAlgebra.dot`` calls
+of the square (the blow-up's transitivity check multiplies through
+``GrassmannElement.__mul__`` and is not counted).  Each is the best of
+three calls in this interpreter.
+
 The oracle section prints the wall seconds of acceptance criterion 3
 (``sdet = n! det`` and ``A* = (n-1)! adj`` on symbolic n = 2, 3, 4) and
 the milliseconds of ``sdet`` and ``preadjoint`` on the symbolic n x n
@@ -76,12 +86,13 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 
-from lienil import dets  # noqa: E402
+from lienil import dets, supermatrix  # noqa: E402
 from lienil.grassmann import GrassmannAlgebra, GrassmannElement  # noqa: E402
-from lienil.matrices import Matrix  # noqa: E402
+from lienil.matrices import (Matrix, blow_up,  # noqa: E402
+                             transitive_from_units, transitive_square)
 from lienil.scalars import QQ, CyclotomicField  # noqa: E402
 from lienil.supermatrix import (example_5_1, example_5_2,  # noqa: E402
-                                sample_supermatrix)
+                                sample_supermatrix, shape)
 
 ORDERS = (1, 3, 4, 5)
 GENERATORS = (4, 8)
@@ -96,6 +107,8 @@ EXAMPLE_5_1 = (4, 2, 4)       # n, d, g: det_stream's dearest sdet class
 EXAMPLE_5_2 = (3, 4)          # n, g: det_stream's charpoly1_right class
 MATMUL_N = 4
 CHAIN_N = 3
+SHAPES = ((4, 4), (2, 6))     # (n, g) of example 5.2 over Q(i)
+BLOWUP = (5, 6, 12)           # g, n and blown-up size, over Q(i)
 CHAINS = {"rdet2": lambda A: dets.rdet(A, 2),
           "charpoly1": lambda A: dets.charpoly(A, 1),
           "ch_check2": lambda A: dets.cayley_hamilton_check(A, 2)}
@@ -316,6 +329,63 @@ def det_cases():
     return out, multiplies, items
 
 
+def _construct_counts(fn):
+    """(solves, dots): the ``solve_constraint`` calls that fn() makes
+    through ``supermatrix``, and its ``GrassmannAlgebra.dot`` calls."""
+    solves = dots = 0
+    solve, dot = supermatrix.solve_constraint, GrassmannAlgebra.dot
+
+    def counted_solve(delta, t):
+        nonlocal solves
+        solves += 1
+        return solve(delta, t)
+
+    def counted_dot(ring, terms):
+        nonlocal dots
+        dots += 1
+        return dot(ring, terms)
+
+    supermatrix.solve_constraint, GrassmannAlgebra.dot = (counted_solve,
+                                                          counted_dot)
+    try:
+        fn()
+    finally:
+        supermatrix.solve_constraint, GrassmannAlgebra.dot = solve, dot
+    return solves, dots
+
+
+def construct_cases():
+    """Best-of-DET_REPEATS milliseconds of two shapes and one blow-up
+    square, and (count, unit): the solves of each shape and the dots of
+    the square."""
+    F = CyclotomicField(4)
+    cases = [(f"shape_5_2_n{n}_g{g}", "solves",
+              lambda spec=example_5_2(n, g, field=F): shape(spec))
+             for n, g in SHAPES]
+    g, n, m = BLOWUP
+    E = GrassmannAlgebra(g, F)
+    rng = random.Random(3500)
+    units = [E.element({0: F.from_fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                        * F.e ** rng.randrange(4),
+                        rng.randrange(1, E.dim): rng.choice((-1, 1))})
+             for _ in range(n)]
+    T = transitive_from_units(E, units)
+    cuts = sorted(rng.sample(range(1, m), n - 1)) + [m]
+    cases.append((f"blowup_square_g{g}_{m}", "dots",
+                  lambda: transitive_square(blow_up(T, cuts))))
+    out, counts = {}, {}
+    for label, unit, fn in cases:
+        best = float("inf")
+        for _ in range(DET_REPEATS):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        out[label] = best * 1e3
+        counts[label] = (dict(zip(("solves", "dots"),
+                                  _construct_counts(fn)))[unit], unit)
+    return out, counts
+
+
 def oracle_cases():
     """Median seconds of criterion 3 and milliseconds of the symbolic calls,
     each timed in a fresh interpreter (see the docstring)."""
@@ -400,6 +470,10 @@ def main(argv=None):
                  else "")
         print(f"{name:<24} {value:9.1f} ms  {det_muls[name]} multiplies"
               f"{items}")
+    construct_ms, construct_counts = construct_cases()
+    for name, value in construct_ms.items():
+        count, unit = construct_counts[name]
+        print(f"{name:<24} {value:9.1f} ms  {count} {unit}")
     oracle = oracle_cases()
     for name, value in oracle.items():
         print(f"{name:<24} {value:9.3f} {name.rsplit('_', 1)[1]}")
@@ -420,6 +494,8 @@ def main(argv=None):
             "dets_ms": {k: round(v, 1) for k, v in det_ms.items()},
             "dets_multiplies": det_muls,
             "dets_sum_items": det_items,
+            "construct_ms": {k: round(v, 1) for k, v in construct_ms.items()},
+            "construct_counts": construct_counts,
             "oracle": {k: round(v, 3) for k, v in oracle.items()},
             "cold_start_ms": {k: round(v, 1) for k, v in cold.items()},
             "cold_lienil_modules": modules}

@@ -78,10 +78,18 @@ class Matrix:
             self._check_shape(other, same=False)
             if self.ncols != other.nrows:
                 raise MatrixError("dimension mismatch in product")
-            dot, cols = self.ring.dot, list(zip(*other.rows))
-            return Matrix(self.ring, [
-                [dot([(a, b, False) for a, b in zip(r, c)]) for c in cols]
-                for r in self.rows])
+            # Entries are immutable, so rows of self (columns of other) that
+            # hold the same objects give one product entry, computed once.
+            cols = list(zip(*other.rows))
+            row_keys = [tuple(map(id, r)) for r in self.rows]
+            col_keys = [tuple(map(id, c)) for c in cols]
+            rows = dict(zip(row_keys, self.rows))
+            cols = dict(zip(col_keys, cols))
+            dot = self.ring.dot
+            products = {(rk, ck): dot([(a, b, False) for a, b in zip(r, c)])
+                        for rk, r in rows.items() for ck, c in cols.items()}
+            return Matrix(self.ring, [[products[rk, ck] for ck in col_keys]
+                                      for rk in row_keys])
         return self.map_entries(lambda e: e * other)
 
     def __rmul__(self, other):

@@ -10,7 +10,7 @@ from itertools import accumulate
 from operator import mul
 
 from .grassmann import GrassmannAlgebra, epsilon, rho, sigma, solve_constraint
-from .matrices import Matrix, TransitiveMatrix, blow_up, transitive_from_units
+from .matrices import Matrix, MatrixError, TransitiveMatrix, blow_up
 from .rings import CostCapError, RingError, fixed_ring_member
 from .scalars import CyclotomicField
 
@@ -19,9 +19,10 @@ class SuperMatrixError(RingError):
     pass
 
 
-# A shape solves n^2 constraints, each on a 2^g x 2^g system, for about
-# 2-10 us per unit of n^2 4^g.  The cap admits `example 5.3 --n 100 --g 4`,
-# which takes 17 s, and `example 5.2 --n 2 --g 10`, 12 s.
+# A shape solves one constraint, a 2^g x 2^g system, per distinct entry of
+# T; the cap bounds n^2 4^g, the work when all n^2 entries differ.  It
+# admits `example 5.3 --n 100 --g 4`, which solves 3 constraints in about
+# 1.3 s, and `example 5.2 --n 2 --g 10`, 2 in about 3.2 s.
 MAX_SHAPE_WORK = 2 ** 22
 
 
@@ -58,16 +59,18 @@ def is_supermatrix(spec, A):
 
 def shape(spec):
     """Per-entry constraint bases, the algebra's 'shape': entry (i, j) is a
-    basis of the membership subspace {x : delta(x) = t_ij * x}.  The
-    predicted work n^2 4^g is capped at MAX_SHAPE_WORK."""
+    basis of the membership subspace {x : delta(x) = t_ij * x}.  That
+    subspace depends on the value t_ij alone, so each distinct entry of T
+    is solved once, and entries with equal t_ij share one basis object.
+    The predicted work n^2 4^g is capped at MAX_SHAPE_WORK."""
     if not isinstance(spec.ring, GrassmannAlgebra):
         raise SuperMatrixError("constraint bases need a Grassmann context")
     work = spec.n ** 2 * 4 ** spec.ring.g
     if work > MAX_SHAPE_WORK:
         raise CostCapError(f"shape: n^2 4^g = {work} for n={spec.n}, "
                            f"g={spec.ring.g} exceeds the cap {MAX_SHAPE_WORK}")
-    return [[solve_constraint(spec.delta, spec.T.entry(i, j))
-             for j in range(1, spec.n + 1)] for i in range(1, spec.n + 1)]
+    solve = cache(lambda t: solve_constraint(spec.delta, t))
+    return [[solve(t) for t in row] for row in spec.T.matrix.rows]
 
 
 def sample_supermatrix(spec, rng, shape_bases=None):
@@ -265,9 +268,15 @@ def verify_embedding(spec, pairs):
 # --------------------------------------------------------------------------
 
 def p_matrix(ring, u, n=2):
-    """P^(u) of size n over ``ring``: entries u^{i-j} embedded as scalars."""
-    units = [ring.from_scalar(u ** (i - 1)) for i in range(1, n + 1)]
-    return transitive_from_units(ring, units)
+    """P^(u) of size n over ``ring``: entries u^{i-j} embedded as scalars,
+    from the 2n - 1 powers u^(1-n) .. u^(n-1), one element per power."""
+    u = ring.coerce_scalar(u)
+    if n > 1 and not u:
+        raise MatrixError("P^(u) needs a unit u")
+    powers = [ring.from_scalar(u ** k) for k in range(1 - n, n)]
+    # row i (0-based) is u^i, u^(i-1), .., u^(i-n+1)
+    return TransitiveMatrix(Matrix(ring, [powers[i:i + n][::-1]
+                                          for i in range(n)]))
 
 
 def root_embedding(r, delta, n):

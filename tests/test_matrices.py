@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lienil import (CyclotomicField, GrassmannAlgebra, Matrix, QQ,
-                    TransitiveMatrix, blow_up, delta_n, epsilon,
+from lienil import (CyclotomicField, GrassmannAlgebra, Matrix, OracleRing,
+                    PolynomialRing, QQ, TransitiveMatrix, blow_up, delta_n,
+                    epsilon,
                     factor_transitive, hadamard, is_transitive, theta,
                     theta_inverse, transitive_from_units, transitive_square)
 from lienil.matrices import MatrixError, matrix_units_counterexample
@@ -107,6 +108,120 @@ def test_p_matrix_powers():
             assert T.entry(i, j) == E.from_scalar(F.e ** (i - j))
     H = transitive_from_units(E, [E.one] * 3)      # the Hadamard identity
     assert H.matrix == scalar_matrix(E, [[1] * 3] * 3)
+
+
+def test_p_matrix_matches_unit_construction():
+    """P^(u), built from the 2n - 1 powers of u, equals the unit
+    construction [g_i g_j^-1] for g_i = u^(i-1), over Q(zeta_n) at
+    n = 1..6 with u = zeta_n, over Q(i) with u = -1 and u = i, and over Q
+    and the oracle ring with int u.  An int u is lifted before its
+    negative powers are taken, so they are exact; a zero u is refused."""
+    cases = [(GrassmannAlgebra(1, CyclotomicField(n)),
+              CyclotomicField(n).primitive_root(n), n) for n in range(1, 7)]
+    F4 = CyclotomicField(4)
+    E4 = GrassmannAlgebra(1, F4)
+    cases += [(E4, u, n) for u in (-1, F4.from_fraction(-1), F4.e)
+              for n in (2, 3, 4)]
+    cases += [(ring, u, n) for ring in (GrassmannAlgebra(1, QQ),
+                                        OracleRing(["x"]))
+              for u in (2, 3, -3) for n in (1, 2, 4)]
+    for ring, u, n in cases:
+        T = p_matrix(ring, u, n=n)
+        old = transitive_from_units(
+            ring, [ring.from_scalar(u ** (i - 1)) for i in range(1, n + 1)])
+        assert T.matrix == old.matrix, (ring, u, n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert T.entry(i, j) == ring.from_scalar(
+                    ring.coerce_scalar(u) ** (i - j))
+    E = GrassmannAlgebra(1, QQ)
+    assert p_matrix(E, 3, n=3).entry(1, 3) == E.from_scalar(Fraction(1, 9))
+    for ring, u in ((E, 0), (E, QQ.zero), (E4, F4.zero)):
+        for n in (2, 3):
+            with pytest.raises(MatrixError):
+                p_matrix(ring, u, n=n)
+
+
+def written_out_product(A, B):
+    """[sum_k a_ik b_kj], each sum added left to right."""
+    ring = A.ring
+    return Matrix(ring, [[sum((a * b for a, b in zip(r, c)), ring.zero)
+                          for c in zip(*B.rows)] for r in A.rows])
+
+
+def count_dots(monkeypatch, ring):
+    """A list that gains one item per ``dot`` call of ``ring``'s class."""
+    calls = []
+    dot = type(ring).dot
+
+    def counted(self, terms):
+        calls.append(None)
+        return dot(self, terms)
+
+    monkeypatch.setattr(type(ring), "dot", counted)
+    return calls
+
+
+def test_blow_up_square_computes_each_block_product_once(monkeypatch):
+    """A blow-up repeats its entry objects block by block, so its square
+    makes one ``dot`` per pair of row and column blocks, n^2 = 16 for a
+    4 x 4 T blown up to 7 x 7, not 49; entries in the same pair of blocks
+    are one object, and the square equals the written-out sums and nT."""
+    E = GrassmannAlgebra(3, CyclotomicField(3))
+    rng = random.Random(5)
+    T = transitive_from_units(E, [E.random_unit(rng) for _ in range(4)])
+    cuts = (1, 3, 4, 7)
+    B = blow_up(T, cuts).matrix
+    calls = count_dots(monkeypatch, E)
+    sq = B * B
+    assert len(calls) == 16
+    assert sq == written_out_product(B, B) == 7 * B
+    block = [sum(p > d for d in cuts) for p in range(1, 8)]
+    cells = list(itertools.product(range(7), repeat=2))
+    for (i, j), (k, l) in itertools.product(cells, repeat=2):
+        if (block[i], block[j]) == (block[k], block[l]):
+            assert sq.rows[i][j] is sq.rows[k][l]
+
+
+def _random_entry(ring, rng):
+    if isinstance(ring, PolynomialRing):
+        return ring.element([ring.base.random_element(rng)
+                             for _ in range(rng.randrange(1, 3))])
+    return ring.random_element(rng)
+
+
+@pytest.mark.parametrize("kind", ["E_Q", "E_zeta3", "oracle", "polynomial"])
+def test_product_shares_entries_of_repeated_rows_and_columns(kind):
+    """A * B equals the written-out sums when rows of A and columns of B
+    repeat.  Entry (i, j) of the product is the same object as entry
+    (k, l) when rows i and k of A, and columns j and l of B, hold the same
+    objects.  Copies of A and B whose repeated rows and columns are equal
+    in value but distinct objects give the same values and share no
+    nonzero entry."""
+    ring = {"E_Q": lambda: GrassmannAlgebra(3, QQ),
+            "E_zeta3": lambda: GrassmannAlgebra(3, CyclotomicField(3)),
+            "oracle": lambda: OracleRing(["x", "y"]),
+            "polynomial": lambda: PolynomialRing(GrassmannAlgebra(2))}[kind]()
+    rng = random.Random(11)
+    rows = [[_random_entry(ring, rng) for _ in range(4)] for _ in range(3)]
+    cols = [[_random_entry(ring, rng) for _ in range(4)] for _ in range(3)]
+    row_of, col_of = (0, 1, 0, 2, 1), (2, 0, 0, 1, 2, 1)
+    A = Matrix(ring, [rows[r] for r in row_of])
+    B = Matrix(ring, zip(*[cols[c] for c in col_of]))
+    P = A * B
+    assert P == written_out_product(A, B)
+    cells = list(itertools.product(range(5), range(6)))
+    for (i, j), (k, l) in itertools.product(cells, repeat=2):
+        if (row_of[i], col_of[j]) == (row_of[k], col_of[l]):
+            assert P.rows[i][j] is P.rows[k][l]
+    A2, B2 = (M.map_entries(lambda x: -(-x)) for M in (A, B))
+    assert all(x is not y for x, y in zip(A.rows[0] + B.rows[0],
+                                          A2.rows[0] + B2.rows[0]))
+    P2 = A2 * B2
+    assert P2 == P
+    for (i, j), (k, l) in itertools.product(cells, repeat=2):
+        if (i, j) != (k, l) and P2.rows[i][j]:
+            assert P2.rows[i][j] is not P2.rows[k][l]
 
 
 def test_transitive_square_identity():

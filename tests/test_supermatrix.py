@@ -1,5 +1,6 @@
 """Supermatrix membership, sampling, shapes, and the embedding."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from lienil import (CyclotomicField, EmbeddingConditionsReport,
                     epsilon, fixed_ring_member, graded_component_basis,
                     is_supermatrix, p_matrix, sample_supermatrix, shape,
                     transitive_from_units, verify_embedding)
+from lienil.grassmann import (endomorphism_from_generator_images, sigma,
+                              solve_constraint)
 from lienil.supermatrix import (SuperMatrixError, example_5_1, example_5_2,
                                 example_5_3, root_embedding)
 
@@ -187,6 +190,79 @@ def test_example_5_1_shape():
             t = spec.T.entry(i + 1, j + 1)
             expected = even if t == E.one else odd
             assert grid[i][j].same_span(expected)
+
+
+def count_solves(monkeypatch):
+    """A list that gains the entry t of every solve that ``shape`` makes."""
+    import lienil.supermatrix as sm
+    calls = []
+
+    def counted(delta, t):
+        calls.append(t)
+        return solve_constraint(delta, t)
+
+    monkeypatch.setattr(sm, "solve_constraint", counted)
+    return calls
+
+
+def check_shape_per_distinct_entry(spec, grid):
+    """The grid equals the per-entry route, one solve for every entry of
+    T, and two cells hold one basis object exactly when their entries of
+    T are equal."""
+    n, t = spec.n, spec.T.matrix.rows
+    per_entry = [[solve_constraint(spec.delta, t[i][j]) for j in range(n)]
+                 for i in range(n)]
+    assert ([[cb.basis for cb in row] for row in grid]
+            == [[cb.basis for cb in row] for row in per_entry])
+    cells = list(itertools.product(range(n), repeat=2))
+    for (i, j), (k, l) in itertools.product(cells, repeat=2):
+        assert (grid[i][j] is grid[k][l]) == (t[i][j] == t[k][l])
+
+
+@pytest.mark.parametrize("build, solves", [
+    (lambda: example_5_1(4, 2, 3), 2),
+    (lambda: example_5_2(5, 2), 5),
+    (lambda: example_5_3(4, 2, 3), 3),
+])
+def test_shape_solves_once_per_distinct_entry(monkeypatch, build, solves):
+    """5.1 at n = 4, d = 2 blows P^(-1) up, so T holds the two values 1
+    and -1: 2 solves.  5.2 at n = 5 has t_ij = e^(i-j), which takes the
+    five values e^0, .., e^4: 5 solves.  5.3 at n = 4 blows up
+    Q = [[1, 1 + v1v2], [1 - v1v2, 1]], whose entries are 1, 1 + v1v2
+    and 1 - v1v2: 3 solves."""
+    spec = build()
+    calls = count_solves(monkeypatch)
+    grid = shape(spec)
+    assert len(calls) == solves
+    check_shape_per_distinct_entry(spec, grid)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shape_of_random_specs_solves_once_per_distinct_entry(monkeypatch,
+                                                              seed):
+    """T = [g_i g_j^-1] for random even (so central) units g_i of E at
+    g = 4: its diagonal is 1 and its n^2 - n = 6 other entries differ, so
+    shape makes 7 solves, under sigma and under a delta given by
+    generator images."""
+    rng = random.Random(seed)
+    E = GrassmannAlgebra(4, QQ)
+    even = [m for m in E.basis_masks() if m and m.bit_count() % 2 == 0]
+
+    def even_unit():
+        return E.element({0: rng.choice((-3, -2, -1, 1, 2, 3)),
+                          **{m: rng.randrange(-2, 3) for m in even}})
+
+    T = transitive_from_units(E, [even_unit() for _ in range(3)])
+    v = E.generators
+    images = [v[(i + 1) % 4] * rng.choice((-2, -1, 1, 2))
+              + v[0] * v[1] * v[i] * rng.randrange(-2, 3) for i in range(4)]
+    calls = count_solves(monkeypatch)
+    for delta in (sigma(E), endomorphism_from_generator_images(E, images)):
+        spec = SuperAlgebraSpec(E, delta, T)
+        calls.clear()
+        grid = shape(spec)
+        assert len(calls) == 7
+        check_shape_per_distinct_entry(spec, grid)
 
 
 def test_example_5_2_spec():
