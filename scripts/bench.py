@@ -54,14 +54,15 @@ after the imports, so that no cache filled by an earlier call helps; the
 median of three such runs is printed.
 
 The cold-start section prints the median wall milliseconds of a fresh
-interpreter for ``python -c pass`` and for four ``python -m lienil.cli``
+interpreter for ``python -c pass`` and for five ``python -m lienil.cli``
 requests: ``sdet`` on a 2x2 Grassmann document and on a 2x2 oracle
-document, ``example 5.2 --n 3 --g 4``, and ``sdet`` on a missing file
-(exit 2).  The runs alternate, so drift in the machine's load reaches all
-of them alike.  Next to each request it prints how many ``lienil.*``
-modules the request imports, counted in one more run under
-``-X importtime``; ``lienil.cli`` itself runs as ``__main__`` and is not
-counted.
+document, ``charpoly --k 1`` on the Grassmann document,
+``example 5.2 --n 3 --g 4``, and ``sdet`` on a missing file (exit 2).  The
+runs alternate, so drift in the machine's load reaches all of them alike.
+Under each request it names the lienil modules the request loads, read
+from one more run under ``-X importtime`` (``lienil.cli``, which runs as
+``__main__``, is added to them), with their source lines: the code a cold
+request compiles when no bytecode is cached.
 
 Usage: python3 scripts/bench.py [--label NAME] [--out FILE]
 
@@ -406,19 +407,25 @@ def oracle_cases():
 
 
 def _lienil_imports(argv, env):
-    """The number of ``lienil.*`` modules that ``python -m lienil.cli argv``
-    imports, from its ``-X importtime`` report."""
+    """{module: source lines} of the lienil modules that
+    ``python -m lienil.cli argv`` loads, from its ``-X importtime`` report,
+    ``lienil.cli`` included."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
                            "lienil.cli"] + argv, env=env, capture_output=True,
                           text=True)
-    names = [line.rsplit("|", 1)[1].strip() for line in
-             proc.stderr.splitlines() if line.startswith("import time:")]
-    return sum(name.startswith("lienil.") for name in names)
+    names = {line.rsplit("|", 1)[1].strip() for line in
+             proc.stderr.splitlines() if line.startswith("import time:")}
+    names = {n for n in names if n == "lienil" or n.startswith("lienil.")}
+    package = Path(SRC) / "lienil"
+    return {name: len((package / (name.partition(".")[2] or "__init__")
+                       ).with_suffix(".py").read_text().splitlines())
+            for name in sorted(names | {"lienil.cli"})}
 
 
 def cold_start_cases():
     """Median wall milliseconds of fresh interpreters, and the lienil
-    modules each request imports (see the docstring)."""
+    modules each request loads with their source lines (see the
+    docstring)."""
     env = dict(os.environ, PYTHONPATH=SRC)
     with tempfile.TemporaryDirectory() as tmp:
         requests = {}                     # name -> (argv, exit code)
@@ -426,6 +433,9 @@ def cold_start_cases():
             path = os.path.join(tmp, name + ".json")
             Path(path).write_text(json.dumps(doc))
             requests[name] = (["sdet", path], 0)
+        requests["grassmann_charpoly"] = (
+            ["charpoly", "--k", "1", os.path.join(tmp, "grassmann_sdet.json")],
+            0)
         requests["example_5_2"] = ("example 5.2 --n 3 --g 4".split(), 0)
         missing = os.path.join(tmp, "none.json")
         requests["missing_file"] = (["sdet", missing], 2)
@@ -479,9 +489,13 @@ def main(argv=None):
         print(f"{name:<24} {value:9.3f} {name.rsplit('_', 1)[1]}")
     cold, modules = cold_start_cases()
     for name, value in cold.items():
-        count = (f"  {modules[name]} lienil modules" if name in modules
-                 else "")
-        print(f"{name:<24} {value:9.1f} ms{count}")
+        print(f"{name:<24} {value:9.1f} ms")
+        if name in modules:
+            lines = modules[name]
+            print(f"    {len(lines)} lienil modules, "
+                  f"{sum(lines.values())} lines: " + ", ".join(
+                      f"{m.partition('.')[2] or 'lienil'} {n}"
+                      for m, n in lines.items()))
 
     if args.out:
         path = Path(args.out)

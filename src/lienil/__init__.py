@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in {
     "scalars": "QQ Cyc CyclotomicField cyclotomic_polynomial",
-    "rings": "ContextMismatchError CostCapError Endomorphism OracleRing "
-             "PolynomialRing RingError RPolynomial classical_adj "
-             "classical_det commutator fixed_ring_member "
-             "left_normed_commutator",
+    "rings": "ContextMismatchError CostCapError Endomorphism "
+             "PolynomialRing RingError RPolynomial commutator "
+             "fixed_ring_member left_normed_commutator",
+    "oracle": "OracleRing classical_adj classical_det",
     "grassmann": "ComponentBasis GrassmannAlgebra GrassmannElement epsilon "
                  "graded_component_basis rho sigma "
                  "solve_constraint",

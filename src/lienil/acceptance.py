@@ -18,7 +18,8 @@ from .matrices import (Matrix, blow_up, factor_transitive, hadamard,
                        is_transitive, matrix_units_counterexample, theta,
                        theta_inverse, transitive_from_units,
                        transitive_square)
-from .rings import OracleRing, classical_adj, classical_det, fixed_ring_member
+from .oracle import OracleRing, classical_adj, classical_det
+from .rings import fixed_ring_member
 from .scalars import QQ, CyclotomicField
 from .serialize import canonical_report
 from .supermatrix import (check_embedding_conditions, example_5_1,
@@ -305,12 +306,17 @@ CORE_CRITERIA = [
 
 
 def run_core():
-    """Run criteria 1-10; returns (results, timings)."""
+    """Run criteria 1-10; returns (results, timings).  A criterion that
+    raises fails, with the exception as its details, and the rest still
+    run."""
     results = []
     timings = {}
     for num, name, fn in CORE_CRITERIA:
         t0 = time.perf_counter()
-        passed, details = fn()
+        try:
+            passed, details = fn()
+        except Exception as exc:
+            passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
         timings[str(num)] = time.perf_counter() - t0
         results.append({"criterion": num, "name": name,
                         "passed": bool(passed), "details": details})

@@ -114,10 +114,10 @@ def cmd_preadjoint(doc, args):
     return {"matrix": matrix_to_json(dets.preadjoint(doc.matrix()))}, EXIT_OK
 
 
-def cmd_rdet(doc, args):
+def cmd_rdet(doc, args):                 # rdet and ldet
     from . import dets
-    fn = dets.rdet if args.side == "right" else dets.ldet
-    return {f"{args.side[0]}det": element_to_json(fn(doc.matrix(), args.k)),
+    fn = getattr(dets, args.command)
+    return {args.command: element_to_json(fn(doc.matrix(), args.k)),
             "k": args.k}, EXIT_OK
 
 
@@ -201,60 +201,75 @@ def cmd_reproduce_all(doc, args):
     return (None if args.report else results), _verdict(report["all_passed"])
 
 
-def build_parser():
+def _opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+_K = _opt("--k", type=int, default=1)
+_SIDE = _opt("--side", choices=["right", "left"], default="right")
+_INPUT = _opt("input", help="JSON file or - for stdin")
+# (name, handler, help, arguments after --pretty): one row per subcommand.
+COMMANDS = [
+    ("transitive", cmd_transitive, "transitive matrix tools",
+     [_opt("action", choices=["check", "build", "blowup", "factor"]), _INPUT]),
+    ("theta", cmd_theta, "Hadamard multiplication by T", [_INPUT]),
+    ("sdet", cmd_sdet, "symmetric determinant", [_INPUT]),
+    ("preadjoint", cmd_preadjoint, "preadjoint matrix", [_INPUT]),
+    ("rdet", cmd_rdet, "k-th right determinant", [_K, _INPUT]),
+    ("ldet", cmd_rdet, "k-th left determinant", [_K, _INPUT]),
+    ("charpoly", cmd_charpoly, "characteristic polynomial",
+     [_K, _SIDE, _INPUT]),
+    ("ch-check", cmd_ch_check, "Cayley-Hamilton residual",
+     [_K, _SIDE, _INPUT]),
+    ("embed", cmd_embed, "embed a ring element as a supermatrix",
+     [_opt("--n", type=int, required=True), _INPUT]),
+    ("conditions", cmd_conditions, "embedding condition report", [_INPUT]),
+    ("membership", cmd_membership, "supermatrix membership check", [_INPUT]),
+    ("sample", cmd_sample, "sample a random member",
+     [_opt("--seed", type=int, required=True), _INPUT]),
+    ("integrality", cmd_integrality, "integrality certificate",
+     [_opt("--n", type=int, required=True),
+      _opt("--k", type=int, required=True), _INPUT]),
+    ("example", cmd_example, "build a worked example algebra",
+     [_opt("name", choices=["5.1", "5.2", "5.3"]),
+      _opt("--n", type=int, required=True),
+      _opt("--d", type=int, default=None),
+      _opt("--g", type=int, default=4)]),
+    ("reproduce-all", cmd_reproduce_all, "run the full acceptance suite",
+     [_opt("--report", default=None,
+           help="write the canonical report to this file")]),
+]
+
+
+def build_parser(argv=None):
+    """The parser of ``argv``.  When argv[0] names a subcommand only that
+    subparser is built, since nothing else can parse; its usage line still
+    lists every command, so an error prints the same bytes.  Otherwise (no
+    command, -h, an unknown name) all are built."""
     parser = argparse.ArgumentParser(
         prog="lienil",
         description="Exact supermatrix algebra constructions and checks")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def opt(*flags, **kwargs):
-        return flags, kwargs
-
-    def add(name, fn, help, *options, reads_file=True, **defaults):
+    names = [row[0] for row in COMMANDS]
+    first = argv[0] if argv and argv[0] in names else None
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=first and "{" + ",".join(names) + "}")
+    for name, fn, help, arguments in COMMANDS:
+        if first and name != first:
+            continue
         p = sub.add_parser(name, help=help)
         p.add_argument("--pretty", action="store_true",
                        help="indented JSON output")
-        for flags, kwargs in options:
+        for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
-        if reads_file:
-            p.add_argument("input", help="JSON file or - for stdin")
-        p.set_defaults(fn=fn, **defaults)
-
-    k = opt("--k", type=int, default=1)
-    side = opt("--side", choices=["right", "left"], default="right")
-    add("transitive", cmd_transitive, "transitive matrix tools",
-        opt("action", choices=["check", "build", "blowup", "factor"]))
-    add("theta", cmd_theta, "Hadamard multiplication by T")
-    add("sdet", cmd_sdet, "symmetric determinant")
-    add("preadjoint", cmd_preadjoint, "preadjoint matrix")
-    add("rdet", cmd_rdet, "k-th right determinant", k, side="right")
-    add("ldet", cmd_rdet, "k-th left determinant", k, side="left")
-    add("charpoly", cmd_charpoly, "characteristic polynomial", k, side)
-    add("ch-check", cmd_ch_check, "Cayley-Hamilton residual", k, side)
-    add("embed", cmd_embed, "embed a ring element as a supermatrix",
-        opt("--n", type=int, required=True))
-    add("conditions", cmd_conditions, "embedding condition report")
-    add("membership", cmd_membership, "supermatrix membership check")
-    add("sample", cmd_sample, "sample a random member",
-        opt("--seed", type=int, required=True))
-    add("integrality", cmd_integrality, "integrality certificate",
-        opt("--n", type=int, required=True),
-        opt("--k", type=int, required=True))
-    add("example", cmd_example, "build a worked example algebra",
-        opt("name", choices=["5.1", "5.2", "5.3"]),
-        opt("--n", type=int, required=True),
-        opt("--d", type=int, default=None),
-        opt("--g", type=int, default=4), reads_file=False)
-    add("reproduce-all", cmd_reproduce_all,
-        "run the full acceptance suite",
-        opt("--report", default=None,
-            help="write the canonical report to this file"),
-        reads_file=False)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         doc = Document(args.input) if "input" in args else None
         payload, code = args.fn(doc, args)

@@ -175,18 +175,27 @@ def sdet(A):
 
 
 def sdet_first_form(A):
-    """The tau/pi form: sum of sgn(pi) a_{tau(1),pi(tau(1))} ... ; equal to
-    sdet by a reindexing argument, kept as an independent cross-check."""
+    """The tau/pi form: the sum over pi and tau in S_n of sgn(pi)
+    a_{tau(1),pi(tau(1))} ... a_{tau(n),pi(tau(n))}; equal to sdet by a
+    reindexing argument, kept as an independent cross-check.  A pi with a
+    zero a_{r,pi(r)} gives no term for any tau and is skipped; each
+    product is taken factor by factor in tau order, with sgn(pi) applied
+    once to the sum over tau."""
     _require_square(A, "sdet")
     n = A.nrows
     ring = A.ring
     acc = ring.zero
-    for tau in permutations(range(n)):
-        for pi in permutations(range(n)):
-            prod = ring.one
-            for t in range(n):
-                prod = prod * A.rows[tau[t]][pi[tau[t]]]
-            acc = acc + (prod if _sign(pi) > 0 else -prod)
+    for pi in permutations(range(n)):
+        entries = [A.rows[r][pi[r]] for r in range(n)]
+        if not all(entries):
+            continue
+        total = ring.zero
+        for tau in permutations(range(n)):
+            prod = entries[tau[0]]
+            for t in tau[1:]:
+                prod = prod * entries[t]
+            total = total + prod
+        acc = acc + total if _sign(pi) > 0 else acc - total
     return acc
 
 
@@ -205,13 +214,14 @@ def preadjoint(A):
 
 def preadjoint_via_minors(A):
     """Independent route: (r, s) entry as (-1)^(r+s) sdet of the minor
-    obtained by deleting row s and column r."""
+    obtained by deleting row s and column r, each by ``sdet_first_form``,
+    which shares no code with ``_pair_sums``."""
     _require_square(A, "preadjoint")
     n = A.nrows
     ring = A.ring
     if n == 1:
         return Matrix(ring, [[ring.one]])
-    return Matrix(ring, [[sdet(A.minor(s, r)) * (-1) ** (r + s)
+    return Matrix(ring, [[sdet_first_form(A.minor(s, r)) * (-1) ** (r + s)
                           for s in range(1, n + 1)] for r in range(1, n + 1)])
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from math import lcm
 
-from . import linalg
 from .rings import (SCALARS, ContextMismatchError, CostCapError,
                     Endomorphism, Ring, RingElement, RingError,
                     check_same_ring)
@@ -395,6 +394,7 @@ class ComponentBasis:
     spanning list of elements."""
 
     def __init__(self, algebra, basis):
+        from . import linalg        # loaded by the first basis, not by E
         self.algebra = algebra
         self.basis = basis
         coords = self._coords()
@@ -409,12 +409,14 @@ class ComponentBasis:
         return [self.algebra.coordinates(b) for b in self.basis]
 
     def contains(self, x):
+        from . import linalg
         if x.ring != self.algebra:
             raise ContextMismatchError("element from a different algebra")
         return linalg.in_span(self._coords(), self.algebra.coordinates(x),
                               self.algebra.dim)
 
     def same_span(self, other):
+        from . import linalg
         if other.algebra != self.algebra:
             raise ContextMismatchError("bases over different algebras")
         return linalg.same_span(self._coords(), other._coords(), self.algebra.dim)
@@ -432,6 +434,7 @@ def graded_component_basis(algebra, m, n):
 def solve_constraint(delta, t):
     """Basis of {x in E : delta(x) = t*x}, by exact Gaussian elimination on
     the 2^g x 2^g matrix of the K-linear map x -> delta(x) - t*x."""
+    from . import linalg
     algebra = delta.ring
     if not isinstance(algebra, GrassmannAlgebra):
         raise RingError("solve_constraint works on Grassmann algebras")

@@ -4,8 +4,9 @@ endomorphisms and supermatrix algebra specs.
 Grassmann elements: {"g": 4, "coeffs": {"": "3/2", "1,2": "-1"}} where keys
 are comma-separated ascending 1-based generator indices (empty key = scalar
 term) and values are scalar text forms.  Oracle elements are polynomial
-text, read by ``OracleRing.parse``.  Matrices: {"n": 2, "entries":
-[[elem, ...], ...]}.  Specs: {"ring": {...}, "delta": ..., "T": ..., "n": n}.
+text, read by ``OracleRing.parse``; only the oracle branches import
+``lienil.oracle``.  Matrices: {"n": 2, "entries": [[elem, ...], ...]}.
+Specs: {"ring": {...}, "delta": ..., "T": ..., "n": n}.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from .grassmann import (GrassmannAlgebra, GrassmannElement, epsilon,
                         endomorphism_from_generator_images, rho, sigma)
 from .matrices import Matrix, TransitiveMatrix
-from .rings import CostCapError, OracleElement, OracleRing, RingError
+from .rings import CostCapError, RingError
 from .scalars import Cyc, CyclotomicField, parse_scalar
 
 
@@ -76,7 +77,10 @@ def element_to_json(x):
     try:
         if isinstance(x, GrassmannElement):
             return grassmann_to_json(x)
-        if isinstance(x, (OracleElement, Cyc)):  # text: a polynomial, a scalar
+        if isinstance(x, Cyc):
+            return str(x)
+        from .oracle import OracleElement
+        if isinstance(x, OracleElement):        # text: a polynomial
             return str(x)
     except ValueError as exc:   # an integer over CPython's decimal-text limit
         raise CostCapError(f"result too long to print: {exc}") from None
@@ -91,6 +95,7 @@ def element_from_json(ring, doc):
             return grassmann_from_json(ring, doc)
         raise SerializationError(
             f"a Grassmann element must be a string or an object, not {doc!r}")
+    from .oracle import OracleRing
     if isinstance(ring, OracleRing):
         return ring.parse(doc)
     raise SerializationError(f"no JSON decoding for ring {ring!r}")
@@ -118,6 +123,7 @@ def matrix_from_json(ring, doc):
 def ring_to_json(ring):
     if isinstance(ring, GrassmannAlgebra):
         return {"type": "grassmann", "g": ring.g, "root_order": ring.field.order}
+    from .oracle import OracleRing
     if isinstance(ring, OracleRing):
         return {"type": "oracle", "variables": list(ring.variables)}
     raise SerializationError(f"no JSON encoding for ring {ring!r}")
@@ -140,6 +146,7 @@ def ring_from_json(doc):
             CyclotomicField(_int(doc.get("root_order", 1), "root_order")))
     if kind == "oracle":
         known_fields(doc, {"type", "variables"}, "an oracle ring")
+        from .oracle import OracleRing
         return OracleRing(field(doc, "variables", list))
     raise SerializationError(f"unknown ring type {kind!r}")
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lienil import acceptance
+from lienil import RingError, acceptance, cli, dets
 from lienil.acceptance import canonical_report
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_all_report.json"
@@ -75,6 +75,44 @@ def test_criterion_11_determinism(report):
     assert "time" not in canonical_report(report["results"])
     assert canonical_report(report["results"]) == GOLDEN_REPORT.read_text(
         encoding="utf-8")
+
+
+def test_criterion_4_sees_a_sign_error_in_pair_sums(monkeypatch):
+    """The join sign flipped (``sr * sc < 0`` read as ``> 0``) negates every
+    restricted sum.  Criterion 4 sums the minors by ``sdet_first_form``,
+    which does not go through ``_pair_sums``, so it fails."""
+    pair_sums = dets._pair_sums
+
+    def flipped(A, row_sets, col_sets):
+        return [[-x for x in row] for row in pair_sums(A, row_sets, col_sets)]
+
+    monkeypatch.setattr(dets, "_pair_sums", flipped)
+    assert acceptance.criterion_4_minor_identity() == (
+        False, {"failure": "minor identity at n=4"})
+
+
+def test_a_criterion_that_raises_fails_and_the_rest_run(monkeypatch,
+                                                        capsys):
+    """reproduce-all prints the report and exits 1, not 2: its input is
+    fixed, so a library fault inside a criterion is a failed check."""
+    def raises():
+        raise RingError("leading term mismatch")
+
+    monkeypatch.setattr(acceptance, "CORE_CRITERIA", [
+        (1, "passes", lambda: (True, {"checked": 1})),
+        (2, "raises", raises),
+        (3, "runs after", lambda: (True, {}))])
+    assert cli.main(["reproduce-all"]) == 1
+    out, err = capsys.readouterr()
+    assert out == canonical_report([
+        {"criterion": 1, "name": "passes", "passed": True,
+         "details": {"checked": 1}},
+        {"criterion": 2, "name": "raises", "passed": False,
+         "details": {"error": "RingError: leading term mismatch"}},
+        {"criterion": 3, "name": "runs after", "passed": True, "details": {}},
+        {"criterion": 11, "name": "determinism", "passed": True,
+         "details": {"runs_compared": 2}}]) + "\n"
+    assert "criterion  2  FAIL  raises" in err
 
 
 @pytest.mark.parametrize("seed", [acceptance.SEED, acceptance.SEED + 70])

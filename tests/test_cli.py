@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lienil
-from lienil.cli import main
+from lienil.cli import COMMANDS, build_parser, main
 from lienil.scalars import MAX_ORDER
 
 GRING = {"type": "grassmann", "g": 2, "root_order": 1}
@@ -601,22 +601,30 @@ def test_no_request_loads_sympy(tmp_path):
 
 def test_requests_load_only_the_modules_they_run(tmp_path):
     """In a fresh interpreter ``import lienil`` loads none of its modules;
-    a Grassmann sdet loads neither lienil.supermatrix nor dataclasses or
-    inspect; an example loads no lienil.dets; and integrality, which needs
-    both, prints the bytes it printed when every module loaded eagerly."""
+    a Grassmann sdet loads neither lienil.supermatrix, lienil.oracle,
+    lienil.linalg nor dataclasses or inspect; an oracle sdet loads
+    lienil.oracle; an example loads lienil.linalg but no lienil.dets; and
+    integrality, which needs both, prints the bytes it printed when every
+    module loaded eagerly."""
     grassmann = write(tmp_path, "g.json", {"ring": GRING, "matrix": MIXED})
+    oracle = write(tmp_path, "o.json", {"ring": ORING, "matrix": OMATRIX})
     elem = write(tmp_path, "e.json", ELEM)
     fresh("import sys, lienil\n"
           "assert not [m for m in sys.modules if m.startswith('lienil.')]\n")
     fresh("import sys, lienil.cli\n"
           f"assert lienil.cli.main(['sdet', {grassmann!r}]) == 0\n"
           "assert 'lienil.dets' in sys.modules\n"
-          "for m in ('lienil.supermatrix', 'dataclasses', 'inspect'):\n"
+          "for m in ('lienil.supermatrix', 'lienil.oracle', 'lienil.linalg',"
+          " 'dataclasses', 'inspect'):\n"
           "    assert m not in sys.modules, m\n")
+    fresh("import sys, lienil.cli\n"
+          f"assert lienil.cli.main(['sdet', {oracle!r}]) == 0\n"
+          "assert 'lienil.oracle' in sys.modules\n")
     fresh("import sys, lienil.cli\n"
           "assert lienil.cli.main(['example', '5.2', '--n', '3', '--g', '4'])"
           " == 0\n"
           "assert 'lienil.supermatrix' in sys.modules\n"
+          "assert 'lienil.linalg' in sys.modules\n"
           "assert 'lienil.dets' not in sys.modules\n")
     zero = b'{"coeffs":{},"g":2}'
     assert fresh("import lienil.cli\n"
@@ -625,3 +633,28 @@ def test_requests_load_only_the_modules_they_run(tmp_path):
         b'{"coefficients_fixed":true,"degree":4,"left_coeffs":['
         + b",".join([zero] * 4) + b'],"left_holds":true,"right_coeffs":['
         + b",".join([zero] * 4) + b'],"right_holds":true}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["sdet"], ["sdet", "-h"], ["sdet", "--nope", "x"],
+    ["sdet", "x", "extra"], ["rdet", "x", "--k", "two"],
+    ["example", "5.9", "--n", "2"], ["charpoly", "--k", "2", "x"],
+    ["--pretty", "sdet", "x"]], ids=lambda argv: " ".join(argv) or "none")
+def test_one_subcommand_parser_parses_like_the_full_parser(argv):
+    """``build_parser(argv)`` builds only argv[0]'s subparser when it names
+    one; it prints the same bytes, exits with the same code and gives the
+    same namespace as the parser of every subcommand."""
+    def outcome(parser):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return out.getvalue(), err.getvalue(), result
+
+    assert outcome(build_parser(argv)) == outcome(build_parser())
+    listed = build_parser(argv).format_help()
+    helps = {name: help for name, _, help, _ in COMMANDS}
+    shown = [name for name, help in helps.items() if help in listed]
+    assert shown == (argv[:1] if argv and argv[0] in helps else list(helps))

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from lienil import dets
 from lienil import (CostCapError, CyclotomicField, GrassmannAlgebra,
                     GrassmannElement, Matrix, OracleRing, PolynomialRing, QQ,
                     RingError, adjoint_sequence, cayley_hamilton_check,
@@ -141,6 +142,48 @@ def test_zero_skip_commutative():
         assert preadjoint(A) == nfact // n * classical_adj(A)
 
 
+def first_form_cases():
+    """Seeded sparse n x n matrices, n = 3..5, over E (g = 4) with Q and
+    Q(zeta3) coefficients, named by their ids."""
+    return [pytest.param(
+        sparse_matrix(GrassmannAlgebra(4, CyclotomicField(order)), n,
+                      700 + 10 * n + seed),
+        id=f"n{n}_zeta{order}_{seed}")
+        for order in (1, 3) for n in (3, 4, 5) for seed in range(2)]
+
+
+@pytest.mark.parametrize("A", first_form_cases())
+def test_sdet_first_form_matches_sdet_on_sparse_matrices(A):
+    assert sdet_first_form(A) == sdet(A)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sdet_first_form_is_nfact_det_commutative(n):
+    """Over the oracle ring, with and without zero entries."""
+    R, A = symbolic_matrix(n)
+    nfact = leading_coefficient_value(n, 1)
+    assert sdet_first_form(A) == classical_det(A) * nfact
+    rows = [list(row) for row in A.rows]
+    rows[0][n - 1] = rows[n - 1][0] = R.zero
+    A = Matrix(R, rows)
+    assert sdet_first_form(A) == classical_det(A) * nfact
+
+
+def test_preadjoint_via_minors_does_not_run_pair_sums(monkeypatch):
+    """The independent route builds each minor's sdet by sdet_first_form,
+    so it still gives A* when ``_pair_sums`` is broken."""
+    cases = [grassmann_matrix(5, n, seed)[1] for n, seed in ((2, 1), (3, 2),
+                                                             (4, 3))]
+    expected = [preadjoint(A) for A in cases]
+
+    def broken(*args):
+        raise AssertionError("_pair_sums ran")
+
+    monkeypatch.setattr(dets, "_pair_sums", broken)
+    for A, P in zip(cases, expected):
+        assert preadjoint_via_minors(A) == P
+
+
 def count_multiplies(monkeypatch, fn, A):
     """fn(A) and the number of Grassmann ring multiplies it made: one per
     ``GrassmannElement.__mul__`` call and one per term of a
@@ -163,6 +206,18 @@ def count_multiplies(monkeypatch, fn, A):
     value = fn(A)
     monkeypatch.undo()
     return value, len(calls)
+
+
+def test_sdet_first_form_skips_a_pi_with_a_zero_factor(monkeypatch):
+    """On a 4x4 diagonal matrix of units only pi = id meets no zero
+    entry: its 24 orders tau take 3 multiplies each (2304 multiplies when
+    every (tau, pi) pair was multiplied out)."""
+    E, A = grassmann_matrix(4, 4, 5)
+    D = Matrix(E, [[A.rows[i][j] + 1 if i == j else E.zero
+                    for j in range(4)] for i in range(4)])
+    value, calls = count_multiplies(monkeypatch, sdet_first_form, D)
+    assert calls == 72
+    assert value == sdet(D)
 
 
 def test_zero_skip_multiplies_only_nonzero_terms(monkeypatch):

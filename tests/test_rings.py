@@ -173,6 +173,18 @@ def test_rpolynomial_ring_axioms(sa, sb, sc):
     assert p * Rz.one == p and Rz.one * p == p
 
 
+def test_oracle_names_resolve_through_rings():
+    """The oracle lives in ``lienil.oracle``; ``lienil.rings`` still answers
+    to its names, with the same objects, on first use."""
+    from lienil import oracle, rings
+    for name in ("OracleRing", "OracleElement", "classical_det",
+                 "classical_adj", "MAX_ORACLE_TERMS", "MAX_ORACLE_BITS",
+                 "MAX_ORACLE_DEGREE"):
+        assert getattr(rings, name) is getattr(oracle, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rings.no_such_name
+
+
 def test_oracle_det_and_adj():
     R = OracleRing(["a", "b", "c", "d"])
     A = Matrix(R, [[R.var("a"), R.var("b")], [R.var("c"), R.var("d")]])
