@@ -54,15 +54,23 @@ after the imports, so that no cache filled by an earlier call helps; the
 median of three such runs is printed.
 
 The cold-start section prints the median wall milliseconds of a fresh
-interpreter for ``python -c pass`` and for five ``python -m lienil.cli``
+interpreter for ``python -c pass`` and for nine ``python -m lienil.cli``
 requests: ``sdet`` on a 2x2 Grassmann document and on a 2x2 oracle
 document, ``charpoly --k 1`` on the Grassmann document,
-``example 5.2 --n 3 --g 4``, and ``sdet`` on a missing file (exit 2).  The
-runs alternate, so drift in the machine's load reaches all of them alike.
+``example 5.2 --n 3 --g 4``, ``sdet`` on a missing file (exit 2), and the
+four cli_cold kinds ``transitive check`` (a seeded transitive 3x3 of g = 4
+units over Q(zeta3)), ``embed --n 3`` (a seeded element of that ring under
+``rho_e:3``), ``integrality --n 2 --k 2`` (a seeded g = 4 element over Q
+under ``epsilon``) and ``sample --seed 1`` (the spec of example 5.1 at
+n = 2, d = 1, g = 4).  The runs alternate, so drift in the machine's load
+reaches all of them alike.
 Under each request it names the lienil modules the request loads, read
 from one more run under ``-X importtime`` (``lienil.cli``, which runs as
 ``__main__``, is added to them), with their source lines: the code a cold
-request compiles when no bytecode is cached.
+request compiles when no bytecode is cached.  Last, ``reproduce_all_s``
+is the median wall seconds of three cold ``reproduce-all --report`` runs,
+each checked to exit 0 and write ``tests/data/reproduce_all_report.json``'s
+bytes.
 
 Usage: python3 scripts/bench.py [--label NAME] [--out FILE]
 
@@ -84,10 +92,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 sys.path.insert(0, SRC)
 
-from lienil import dets, supermatrix  # noqa: E402
+from lienil import dets, serialize, supermatrix  # noqa: E402
 from lienil.grassmann import GrassmannAlgebra, GrassmannElement  # noqa: E402
 from lienil.matrices import (Matrix, blow_up,  # noqa: E402
                              transitive_from_units, transitive_square)
@@ -144,6 +153,7 @@ COLD_DOCS = {
         "matrix": {"n": 2, "entries": [["a^2 - 3*b/2", "2*(a + 1)"],
                                        ["-b*c + 7", "(a - b)**2/3"]]}},
 }
+REPRODUCE_ALL_REPEATS = 3
 
 
 def _best_us(fn, pairs, loops):
@@ -422,6 +432,28 @@ def _lienil_imports(argv, env):
             for name in sorted(names | {"lienil.cli"})}
 
 
+def _cold_kind_docs():
+    """{name: (argv before the file, argv after it, document)} of the
+    seeded cli_cold kinds (see the docstring)."""
+    rng = random.Random(3600)
+    E3 = GrassmannAlgebra(4, CyclotomicField(3))
+    E1 = GrassmannAlgebra(4, QQ)
+    T = transitive_from_units(E3, [E3.random_unit(rng) for _ in range(3)])
+    ring = serialize.ring_to_json
+    return {
+        "transitive_check": (["transitive", "check"], [], {
+            "ring": ring(E3), "matrix": serialize.matrix_to_json(T.matrix)}),
+        "embed": (["embed"], ["--n", "3"], {
+            "ring": ring(E3), "delta": "rho_e:3",
+            "element": serialize.element_to_json(E3.random_element(rng))}),
+        "integrality": (["integrality"], ["--n", "2", "--k", "2"], {
+            "ring": ring(E1), "delta": "epsilon",
+            "element": serialize.element_to_json(E1.random_element(rng))}),
+        "sample": (["sample"], ["--seed", "1"],
+                   serialize.spec_to_json(example_5_1(2, 1, 4))),
+    }
+
+
 def cold_start_cases():
     """Median wall milliseconds of fresh interpreters, and the lienil
     modules each request loads with their source lines (see the
@@ -436,6 +468,10 @@ def cold_start_cases():
         requests["grassmann_charpoly"] = (
             ["charpoly", "--k", "1", os.path.join(tmp, "grassmann_sdet.json")],
             0)
+        for name, (before, after, doc) in _cold_kind_docs().items():
+            path = os.path.join(tmp, name + ".json")
+            Path(path).write_text(json.dumps(doc))
+            requests[name] = (before + [path] + after, 0)
         requests["example_5_2"] = ("example 5.2 --n 3 --g 4".split(), 0)
         missing = os.path.join(tmp, "none.json")
         requests["missing_file"] = (["sdet", missing], 2)
@@ -456,6 +492,28 @@ def cold_start_cases():
                    for name, (argv, _) in requests.items()}
     return ({f"cold_{name}": statistics.median(w) * 1e3
              for name, w in walls.items()}, modules)
+
+
+def reproduce_all_case():
+    """Median wall seconds of cold ``reproduce-all --report`` runs, each
+    checked against the committed report."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    golden = (ROOT / "tests" / "data" / "reproduce_all_report.json"
+              ).read_bytes()
+    walls = []
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
+        for _ in range(REPRODUCE_ALL_REPEATS):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "lienil.cli",
+                                   "reproduce-all", "--report", str(report)],
+                                  env=env, stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.DEVNULL)
+            walls.append(time.perf_counter() - t0)
+            if proc.returncode != 0 or report.read_bytes() != golden:
+                raise RuntimeError("reproduce-all: exit "
+                                   f"{proc.returncode} or another report")
+    return statistics.median(walls)
 
 
 def main(argv=None):
@@ -496,6 +554,8 @@ def main(argv=None):
                   f"{sum(lines.values())} lines: " + ", ".join(
                       f"{m.partition('.')[2] or 'lienil'} {n}"
                       for m, n in lines.items()))
+    reproduce_all_s = reproduce_all_case()
+    print(f"{'reproduce_all_s':<24} {reproduce_all_s:9.2f} s")
 
     if args.out:
         path = Path(args.out)
@@ -512,7 +572,8 @@ def main(argv=None):
             "construct_counts": construct_counts,
             "oracle": {k: round(v, 3) for k, v in oracle.items()},
             "cold_start_ms": {k: round(v, 1) for k, v in cold.items()},
-            "cold_lienil_modules": modules}
+            "cold_lienil_modules": modules,
+            "reproduce_all_s": round(reproduce_all_s, 2)}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -8,7 +8,10 @@ runs.  Timings are collected separately.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 from . import dets
@@ -323,13 +326,42 @@ def run_core():
     return results, timings
 
 
+# Criterion 11's rerun: criteria 1-10 in a fresh interpreter, which writes
+# their canonical report to stdout.
+RERUN = ("import sys\n"
+         "from lienil.acceptance import canonical_report, run_core\n"
+         "sys.stdout.buffer.write(canonical_report(run_core()[0]).encode())\n")
+
+
+def start_rerun():
+    """Start RERUN in a ``sys.executable`` child that imports this copy of
+    lienil, under a PYTHONHASHSEED other than this process's: one more than
+    a fixed seed, else 0 (this process's hashes are then random).  Its
+    string hashes differ, so a report that depends on set or dict order
+    differs too.  The child's stderr is discarded."""
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    path = os.environ.get("PYTHONPATH")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ,
+               PYTHONHASHSEED=str((int(seed) + 1) % 2 ** 32)
+               if seed.isdigit() else "0",
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.Popen([sys.executable, "-c", RERUN], env=env,
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL)
+
+
 def reproduce_all():
     """Full acceptance run: criteria 1-10 plus the determinism criterion,
-    which reruns the suite and compares the canonical report bytes."""
-    results, timings = run_core()
-    t0 = time.perf_counter()
-    rerun, _ = run_core()
-    identical = canonical_report(results) == canonical_report(rerun)
+    which reruns them in a child process (``start_rerun``), started first
+    so that it runs alongside, and passes when the child exits 0 having
+    written this run's canonical report bytes."""
+    with start_rerun() as child:
+        results, timings = run_core()
+        t0 = time.perf_counter()
+        rerun = child.communicate()[0]
+    identical = (child.returncode == 0
+                 and rerun == canonical_report(results).encode())
     timings["11"] = time.perf_counter() - t0
     results.append({"criterion": 11, "name": "determinism",
                     "passed": identical,

@@ -7,13 +7,19 @@ payload and exit code, and ``main`` prints the payload once, compact or,
 under ``--pretty``, indented.
 
 Exit codes: 0 success / check passed, 1 check failed (counterexample in the
-output), 2 invalid input, 3 cost cap exceeded.
+output), 2 invalid input or an output that cannot be written, 3 cost cap
+exceeded.
+
+``console_main`` is the process entry (``lienil`` and ``python -m
+lienil.cli``); ``main`` is the one to call in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import random
 import sys
 
@@ -286,5 +292,40 @@ def main(argv=None):
     return code
 
 
+def console_main():
+    """Run ``main`` on the process's arguments and exit with its code.
+
+    Before the process exits, on a return or an argparse exit alike,
+    ``gc.freeze()`` moves every tracked object to the permanent generation,
+    so the interpreter's shutdown collections do not scan the heap the
+    request leaves behind (``gc.disable()`` would not stop them).  Only
+    this entry freezes: ``main`` leaves an in-process caller's collector as
+    it found it.
+
+    A reader that closes stdout or stderr before the reply is written gets
+    exit 2, as an unwritable ``--report`` file does, and no traceback.  The
+    error goes to stderr if that is still open; then both are pointed at
+    devnull, so that the interpreter's final flush has no pipe to fail on.
+    """
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:       # argparse: -h or a usage error
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        code = EXIT_BAD_INPUT
+        try:
+            print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
+                  file=sys.stderr)
+        except BrokenPipeError:
+            pass
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            os.dup2(devnull, stream.fileno())
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

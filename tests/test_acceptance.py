@@ -1,7 +1,10 @@
 """The acceptance gate: one test per criterion, all read from one
 reproduce_all report, plus degree-9 Cayley-Hamilton instances at n = 3."""
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ GOLDEN_REPORT = Path(__file__).parent / "data" / "reproduce_all_report.json"
 
 @pytest.fixture(scope="module")
 def report():
-    """One full acceptance run: the core suite twice, compared by bytes."""
+    """One full acceptance run: the core suite here and in a child process,
+    compared by bytes."""
     return acceptance.reproduce_all()[0]
 
 
@@ -66,7 +70,8 @@ def test_criterion_10_shapes(report):
 
 def test_criterion_11_determinism(report):
     """Reports are byte-identical across runs (reproduce_all reruns the
-    whole suite and compares the bytes) and equal the committed report."""
+    whole suite in a child under another hash seed and compares the bytes)
+    and equal the committed report."""
     check(report, 11)
     assert report["all_passed"]
     nums = [r["criterion"] for r in report["results"]]
@@ -98,21 +103,103 @@ def test_a_criterion_that_raises_fails_and_the_rest_run(monkeypatch,
     def raises():
         raise RingError("leading term mismatch")
 
-    monkeypatch.setattr(acceptance, "CORE_CRITERIA", [
-        (1, "passes", lambda: (True, {"checked": 1})),
-        (2, "raises", raises),
-        (3, "runs after", lambda: (True, {}))])
-    assert cli.main(["reproduce-all"]) == 1
-    out, err = capsys.readouterr()
-    assert out == canonical_report([
+    core = [
         {"criterion": 1, "name": "passes", "passed": True,
          "details": {"checked": 1}},
         {"criterion": 2, "name": "raises", "passed": False,
          "details": {"error": "RingError: leading term mismatch"}},
-        {"criterion": 3, "name": "runs after", "passed": True, "details": {}},
+        {"criterion": 3, "name": "runs after", "passed": True, "details": {}}]
+    monkeypatch.setattr(acceptance, "CORE_CRITERIA", [
+        (1, "passes", lambda: (True, {"checked": 1})),
+        (2, "raises", raises),
+        (3, "runs after", lambda: (True, {}))])
+    # The rerun child does not see the patch: it writes these criteria's
+    # report as the child of a run that reproduces them would.
+    monkeypatch.setattr(acceptance, "RERUN", rerun_writing(
+        canonical_report(core)))
+    assert cli.main(["reproduce-all"]) == 1
+    out, err = capsys.readouterr()
+    assert out == canonical_report(core + [
         {"criterion": 11, "name": "determinism", "passed": True,
          "details": {"runs_compared": 2}}]) + "\n"
     assert "criterion  2  FAIL  raises" in err
+
+
+def rerun_writing(text, code=0):
+    """A rerun child's source that writes ``text`` and exits ``code``."""
+    return f"import sys\nsys.stdout.write({text!r})\nsys.exit({code})\n"
+
+
+CORE = [{"criterion": 1, "name": "passes", "passed": True, "details": {}}]
+
+
+@pytest.mark.parametrize("rerun", [
+    rerun_writing(canonical_report(CORE), code=1),
+    rerun_writing(canonical_report(CORE) + " "),
+    rerun_writing(""),
+    "raise RuntimeError('the rerun broke')\n"],
+    ids=["exit-1", "other-bytes", "no-bytes", "raises"])
+def test_a_failing_rerun_fails_determinism(monkeypatch, capfd, rerun):
+    """A child that exits non-zero or writes other bytes fails criterion
+    11: reproduce-all prints the report and exits 1, and no traceback
+    reaches stderr, the child's included."""
+    monkeypatch.setattr(acceptance, "CORE_CRITERIA", [
+        (1, "passes", lambda: (True, {}))])
+    monkeypatch.setattr(acceptance, "RERUN", rerun)
+    assert cli.main(["reproduce-all"]) == 1
+    out, err = capfd.readouterr()
+    assert out == canonical_report(CORE + [
+        {"criterion": 11, "name": "determinism", "passed": False,
+         "details": {"runs_compared": 2}}]) + "\n"
+    assert "criterion 11  FAIL  determinism" in err
+    assert "Traceback" not in err
+
+
+def fresh_env(**env):
+    """This process's environment, with this lienil importable and the
+    given variables set, or removed where None."""
+    env = dict(os.environ, PYTHONPATH=str(Path(acceptance.__file__).parents[1]),
+               **env)
+    return {k: v for k, v in env.items() if v is not None}
+
+
+@pytest.mark.parametrize("seed", [None, "random", "0", "7", "4294967295"])
+def test_the_rerun_runs_under_another_hash_seed(seed):
+    """In a fresh process run under PYTHONHASHSEED=seed (None: unset), the
+    rerun child's PYTHONHASHSEED and its hash of a string differ from the
+    process's own."""
+    script = (
+        "import os\n"
+        "from lienil import acceptance\n"
+        "acceptance.RERUN = "
+        "'import os; print(os.environ[\"PYTHONHASHSEED\"], hash(\"lienil\"))'\n"
+        "with acceptance.start_rerun() as child:\n"
+        "    print(os.environ.get('PYTHONHASHSEED'), hash('lienil'))\n"
+        "    print(child.communicate(timeout=60)[0].decode(), end='')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=fresh_env(PYTHONHASHSEED=seed),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (own_seed, own_hash), (child_seed, child_hash) = (
+        line.split() for line in proc.stdout.splitlines())
+    assert own_seed == str(seed)
+    assert child_seed != own_seed
+    assert child_hash != own_hash
+
+
+def test_reproduce_all_from_a_fresh_process_writes_the_golden_report(
+        tmp_path):
+    """``python -m lienil.cli reproduce-all --report FILE``, as a user runs
+    it, exits 0 and writes the committed report's bytes."""
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "lienil.cli",
+                           "reproduce-all", "--report", str(report)],
+                          capture_output=True, text=True, env=fresh_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert report.read_bytes() == GOLDEN_REPORT.read_bytes()
 
 
 @pytest.mark.parametrize("seed", [acceptance.SEED, acceptance.SEED + 70])

@@ -1,16 +1,20 @@
 """End-to-end CLI runs: JSON in, JSON out, and the exit code contract."""
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lienil
+from lienil import cli
 from lienil.cli import COMMANDS, build_parser, main
 from lienil.scalars import MAX_ORDER
 
@@ -560,13 +564,19 @@ def test_fuzzed_documents_exit_cleanly(command, data, monkeypatch):
         assert "error" in json.loads(err.getvalue())
 
 
+def fresh_run(args, **kwargs):
+    """``python args`` in a fresh interpreter that imports this lienil,
+    with stdout block-buffered, as it is by default, unless args say -u."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lienil.__file__))
+    return subprocess.run([sys.executable] + args, env=env, timeout=120,
+                          **kwargs)
+
+
 def fresh(script):
     """stdout of ``script`` run in a fresh interpreter that imports this
     lienil; the script must exit 0."""
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(lienil.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, timeout=120)
+    proc = fresh_run(["-c", script], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
@@ -658,3 +668,123 @@ def test_one_subcommand_parser_parses_like_the_full_parser(argv):
     helps = {name: help for name, _, help, _ in COMMANDS}
     shown = [name for name, help in helps.items() if help in listed]
     assert shown == (argv[:1] if argv and argv[0] in helps else list(helps))
+
+
+# --- the process entry: console_main ---
+
+@pytest.mark.parametrize("argv, doc, code", [
+    (["sdet"], {"ring": GRING, "matrix": MIXED}, 0),
+    (["transitive", "check"], {"ring": GRING, "matrix": {
+        "n": 2, "entries": [["1", "1"], ["0", "1"]]}}, 1),
+    (["sdet"], {"ring": {"type": "mystery"}, "matrix": PAIR}, 2),
+    (["sdet"], {"ring": GRING, "matrix": {"n": 6, "entries": [
+        ["1" if i == j else "0" for j in range(6)] for i in range(6)]}}, 3)],
+    ids=["exit-0", "exit-1", "exit-2", "exit-3"])
+def test_a_cold_process_replies_as_main_does(tmp_path, capsys, argv, doc,
+                                             code):
+    """``python -m lienil.cli`` gives the exit code, stdout and stderr of
+    ``main`` run in this process on the same document."""
+    argv = argv + [write(tmp_path, "doc.json", doc)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    proc = fresh_run(["-m", "lienil.cli"] + argv, capture_output=True,
+                     text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
+    """Only the process entry freezes the heap: ``main`` returning or
+    exiting through argparse moves nothing to the permanent generation."""
+    frozen = gc.get_freeze_count()
+    assert main(["sdet", write(tmp_path, "g.json",
+                               {"ring": GRING, "matrix": MIXED})]) == 0
+    with pytest.raises(SystemExit):
+        main(["sdet"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sdet", "{file}"], 0), (["sdet"], 2), (["-h"], 0)],
+    ids=["returns", "usage-error", "help"])
+def test_console_main_freezes_the_heap_before_it_exits(tmp_path, argv, code):
+    """``console_main`` exits with main's code, or argparse's, and has
+    frozen the heap by then, so shutdown collections skip it."""
+    argv = [a.replace("{file}", write(tmp_path, "g.json",
+                                      {"ring": GRING, "matrix": MIXED}))
+            for a in argv]
+    script = ("import gc, sys\n"
+              "from lienil import cli\n"
+              f"sys.argv = ['lienil'] + {argv!r}\n"
+              "try:\n"
+              "    cli.console_main()\n"
+              "except SystemExit as exc:\n"
+              "    print(exc.code, gc.get_freeze_count() > 0,"
+              " file=sys.stderr)\n")
+    proc = fresh_run(["-c", script], capture_output=True, text=True)
+    assert proc.stderr.splitlines()[-1] == f"{code} True"
+
+
+def test_the_project_script_is_the_main_block_entry():
+    """``[project.scripts]`` names the function that ``python -m
+    lienil.cli`` calls."""
+    tomllib = pytest.importorskip("tomllib")         # Python 3.11+
+    root = Path(lienil.__file__).resolve().parents[2]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())[
+        "project"]["scripts"]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    calls = [ast.unparse(node.func) for node in ast.walk(block)
+             if isinstance(node, ast.Call)]
+    assert calls == ["console_main"]
+    assert scripts == {"lienil": "lienil.cli:console_main"}
+
+
+def closed_pipe_run(args, stream):
+    """(exit code, bytes on the other stream) of a fresh ``python args``
+    whose ``stream`` ("stdout" or "stderr") is a pipe whose reader has
+    closed."""
+    reader, writer = os.pipe()
+    os.close(reader)
+    other = "stderr" if stream == "stdout" else "stdout"
+    try:
+        proc = fresh_run(args, **{stream: writer, other: subprocess.PIPE})
+    finally:
+        os.close(writer)
+    return proc.returncode, getattr(proc, other)
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["example", "5.3", "--n", "3", "--g", "4"], ["sdet", "{file}"]],
+    ids=["example", "sdet"])
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, flags):
+    """A reply written to a pipe whose reader has gone, whether it fails in
+    ``print`` (unbuffered) or at the flush before exit (buffered): exit 2
+    and one JSON error on stderr, with no traceback and no "Exception
+    ignored"."""
+    argv = [a.replace("{file}", write(tmp_path, "g.json",
+                                      {"ring": GRING, "matrix": MIXED}))
+            for a in argv]
+    code, err = closed_pipe_run(flags + ["-m", "lienil.cli"] + argv,
+                                "stdout")
+    assert code == 2
+    assert json.loads(err)["error"].startswith("BrokenPipeError: ")
+
+
+def test_a_closed_stderr_exits_2_without_a_traceback(tmp_path):
+    """The JSON error of an exit 2, and reproduce-all's timing lines, to a
+    closed pipe: exit 2 and nothing on stdout."""
+    missing = str(tmp_path / "none.json")
+    assert closed_pipe_run(["-m", "lienil.cli", "sdet", missing],
+                           "stderr") == (2, b"")
+    script = ("import sys\n"
+              "from lienil import acceptance, cli\n"
+              "acceptance.CORE_CRITERIA = [(1, 'passes', lambda: (True, {}))]\n"
+              "acceptance.RERUN = 'import sys; sys.stdout.write(%r)' % (\n"
+              "    acceptance.canonical_report(acceptance.run_core()[0]))\n"
+              "sys.argv = ['lienil', 'reproduce-all']\n"
+              "cli.console_main()\n")
+    assert closed_pipe_run(["-c", script], "stderr") == (2, b"")
