@@ -247,12 +247,22 @@ COMMANDS = [
 ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help is one plain write: argparse's own
+    ``_print_message`` swallows a failed write, so that a help written
+    unbuffered to a closed stdout would exit 0.  Subparsers share the
+    class."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser(argv=None):
     """The parser of ``argv``.  When argv[0] names a subcommand only that
     subparser is built, since nothing else can parse; its usage line still
     lists every command, so an error prints the same bytes.  Otherwise (no
     command, -h, an unknown name) all are built."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lienil",
         description="Exact supermatrix algebra constructions and checks")
     names = [row[0] for row in COMMANDS]

@@ -35,8 +35,7 @@ from itertools import combinations, permutations, product
 
 from .matrices import Matrix, MatrixError
 from .parallel import map_reduce_sum
-from .rings import (CostCapError, PolynomialRing, RingError,
-                    fixed_ring_member, substitute)
+from .rings import CostCapError, RingError, fixed_ring_member, substitute
 
 MAX_N = 5                 # the (n!)^2 enumerations stop here
 # An adjoint chain of length k (rdet, ldet, charpoly) ends in a product of
@@ -314,7 +313,7 @@ def charpoly(A, k, side="right"):
     computed by lifting A to R[z] and reusing the generic determinant code."""
     _require_square(A, "charpoly")
     ring = A.ring
-    rz = PolynomialRing(ring)
+    rz = ring.polynomials
     n = A.nrows
     lifted = A.map_entries(rz.constant, ring=rz)
     zI = Matrix.identity(rz, n) * rz.z

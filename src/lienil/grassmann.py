@@ -391,7 +391,10 @@ def endomorphism_from_generator_images(algebra, images):
 
 class ComponentBasis:
     """A K-subspace of a Grassmann algebra given by a linearly independent
-    spanning list of elements."""
+    spanning list of elements.  Independence is checked once, here, so a
+    span test is one elimination: x lies in the span iff adding it keeps
+    the rank at ``dim``, and two bases of equal ``dim`` span one subspace
+    iff their union has that rank too."""
 
     def __init__(self, algebra, basis):
         from . import linalg        # loaded by the first basis, not by E
@@ -412,14 +415,15 @@ class ComponentBasis:
         from . import linalg
         if x.ring != self.algebra:
             raise ContextMismatchError("element from a different algebra")
-        return linalg.in_span(self._coords(), self.algebra.coordinates(x),
-                              self.algebra.dim)
+        coords = self._coords() + [self.algebra.coordinates(x)]
+        return linalg.rank(coords, self.algebra.dim) == self.dim
 
     def same_span(self, other):
         from . import linalg
         if other.algebra != self.algebra:
             raise ContextMismatchError("bases over different algebras")
-        return linalg.same_span(self._coords(), other._coords(), self.algebra.dim)
+        return self.dim == other.dim == linalg.rank(
+            self._coords() + other._coords(), self.algebra.dim)
 
 
 def graded_component_basis(algebra, m, n):

@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination over a scalar field: kernels, rank, span tests.
+"""Exact Gaussian elimination over a scalar field: kernels and rank.
 
 Vectors are lists of ``scalars.Cyc`` elements (integer numerators over a
 common denominator in Q(zeta_n)); each pivot is inverted once through the
@@ -53,14 +53,3 @@ def kernel_basis(rows, ncols, field):
         basis.append(vec)
     return basis
 
-
-def in_span(basis, vec, ncols):
-    """True iff ``vec`` lies in the row span of ``basis``."""
-    basis = list(basis)
-    return rank(basis, ncols) == rank(basis + [list(vec)], ncols)
-
-
-def same_span(basis_a, basis_b, ncols):
-    basis_a, basis_b = list(basis_a), list(basis_b)
-    ra = rank(basis_a, ncols)
-    return ra == rank(basis_b, ncols) == rank(basis_a + basis_b, ncols)

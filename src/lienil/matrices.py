@@ -221,7 +221,9 @@ def blow_up(T, cuts):
     if any(a >= b for a, b in zip([0] + cuts, cuts)):
         raise MatrixError("cut sequence must be strictly increasing from 0")
     m = cuts[-1]
-    if m > MAX_ORDER:           # m x m entries, and m^2 solves in a shape
+    # m bounds the m^2 entries and the m^2 + m - 1 products of the
+    # transitivity check that TransitiveMatrix runs on them
+    if m > MAX_ORDER:
         raise CostCapError(f"blow-up size {m} exceeds the cap {MAX_ORDER}")
     # index p (1-based) lies in block i (0-based) when d_i < p <= d_{i+1}
     block = [bisect_left(cuts, p) for p in range(1, m + 1)]

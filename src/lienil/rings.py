@@ -13,8 +13,8 @@ only on first use, so a Grassmann request never compiles the oracle.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import QQ, Cyc
 
@@ -126,6 +126,11 @@ class Ring:
 
     field = QQ
 
+    @cached_property
+    def polynomials(self):
+        """R[z] over this ring, built on first use and shared after."""
+        return PolynomialRing(self)
+
     def __eq__(self, other):
         return self is other or (type(other) is type(self)
                                  and other.params == self.params)
@@ -218,25 +223,17 @@ def fixed_ring_member(delta, x):
 
 class PolynomialRing(Ring):
     """R[z]; elements are RPolynomial with coefficients in the base ring.
-    Its zero, one and z point back at it, so it keeps them by weak
-    reference: a reference cycle would outlive every charpoly."""
+    Its zero, one and z point back at it, so build it once per base ring,
+    as ``base.polynomials``: a ring built per call would leave a reference
+    cycle behind every call."""
 
     def __init__(self, base):
         self.base = base
         self.field = base.field
         self.params = (base,)
-        self._kept = weakref.WeakValueDictionary()
-
-    def _kept_element(self, name, *coeffs):
-        x = self._kept.get(name)
-        if x is None:
-            x = self._kept[name] = RPolynomial(self, coeffs)
-        return x
-
-    zero = property(lambda self: self._kept_element("zero"))
-    one = property(lambda self: self._kept_element("one", self.base.one))
-    z = property(lambda self: self._kept_element("z", self.base.zero,
-                                                  self.base.one))
+        self.zero = RPolynomial(self, ())
+        self.one = RPolynomial(self, (base.one,))
+        self.z = RPolynomial(self, (base.zero, base.one))
 
     def __repr__(self):
         return f"PolynomialRing({self.base!r})"
@@ -274,7 +271,7 @@ class RPolynomial(RingElement):
     """Polynomial in a central indeterminate z with coefficients in R,
     ascending powers, trailing zeros trimmed."""
 
-    __slots__ = ("ring", "coeffs", "__weakref__")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring

@@ -200,10 +200,8 @@ class CyclotomicField:
             return self.one
         if n == 2:
             return self.from_fraction(-1)
-        if self.order % n == 0:
-            cand = self.e ** (self.order // n)
-            if _is_primitive(cand, n):
-                return cand
+        if self.order % n == 0:         # e has order exactly self.order
+            return self.e ** (self.order // n)
         raise ScalarError(f"no primitive {n}-th root of unity in Q(zeta_{self.order})")
 
     def _norm_cofactor(self, num):
@@ -225,15 +223,6 @@ class CyclotomicField:
                         y[j] += c * r
             out = y if out is None else _mul(out, y, self._reduce)
         return out
-
-
-def _is_primitive(e, n):
-    acc = e.field.one
-    for k in range(1, n):
-        acc = acc * e
-        if acc == e.field.one:
-            return False
-    return (acc * e) == e.field.one
 
 
 class Cyc:

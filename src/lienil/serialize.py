@@ -6,7 +6,9 @@ are comma-separated ascending 1-based generator indices (empty key = scalar
 term) and values are scalar text forms.  Oracle elements are polynomial
 text, read by ``OracleRing.parse``; only the oracle branches import
 ``lienil.oracle``.  Matrices: {"n": 2, "entries": [[elem, ...], ...]}.
-Specs: {"ring": {...}, "delta": ..., "T": ..., "n": n}.
+Specs: {"ring": {...}, "delta": ..., "T": ..., "n": n}.  The "n" of a
+matrix or spec may be left out; given, it must be the row count of the
+matrix or of T.
 """
 
 from __future__ import annotations
@@ -111,9 +113,11 @@ def matrix_to_json(A):
 def matrix_from_json(ring, doc):
     if not isinstance(doc, dict):
         raise SerializationError("a matrix must be an object")
+    known_fields(doc, {"n", "entries"}, "a matrix")
     entries = field(doc, "entries", list)
     if not all(isinstance(row, list) for row in entries):
         raise SerializationError("matrix entries must be a list of lists")
+    _check_n(doc, len(entries), "a matrix")
     return Matrix(ring, [[element_from_json(ring, e) for e in row]
                          for row in entries])
 
@@ -133,6 +137,12 @@ def _int(value, what):
     if not isinstance(value, int) or isinstance(value, bool):
         raise SerializationError(f"{what} must be an integer, not {value!r}")
     return value
+
+
+def _check_n(doc, rows, what):
+    """Refuse a doc whose optional field "n" is not its row count."""
+    if "n" in doc and _int(doc["n"], "n") != rows:
+        raise SerializationError(f"{what} has n = {doc['n']} but {rows} rows")
 
 
 def ring_from_json(doc):
@@ -168,6 +178,7 @@ def delta_from_json(ring, doc):
             return sigma(ring, validate=False)
         raise SerializationError(f"unknown endomorphism {doc!r}")
     if isinstance(doc, dict) and "generator_images" in doc:
+        known_fields(doc, {"generator_images"}, "an endomorphism descriptor")
         images = doc["generator_images"]
         if not isinstance(images, list):
             raise SerializationError("generator_images must be a list")
@@ -215,4 +226,5 @@ def spec_from_json(doc, ring=None):     # None: decode doc["ring"]
         ring = ring_from_json(field(doc, "ring"))
     delta = delta_from_json(ring, field(doc, "delta"))
     T = TransitiveMatrix(matrix_from_json(ring, field(doc, "T")))
+    _check_n(doc, T.n, "a spec")
     return SuperAlgebraSpec(ring, delta, T)

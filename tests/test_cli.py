@@ -260,7 +260,16 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
          for entry in ("1/0", "[1/0]", {"coeffs": {"1": "2/0"}},
                        # a key other than distinct ascending indices
                        {"coeffs": {"2,1": "1"}}, {"coeffs": {"1,1": "1"}},
-                       {"coeffs": {"1,2": "1", "2,1": "1"}})]
+                       {"coeffs": {"1,2": "1", "2,1": "1"}})] + [
+        # a matrix field that nothing reads, or an "n" that is not the row
+        # count ("n" itself is optional)
+        {"ring": {"type": "grassmann", "g": 2},
+         "matrix": {"n": 7, "entries": [["1", "2"], ["3", "4"]], "typo": 1}},
+        {"ring": GRING, "matrix": {"entries": [["1"]], "typo": 1}},
+        {"ring": GRING, "matrix": {"n": 7, "entries": [["1", "2"], ["3", "4"]]}},
+        {"ring": GRING, "matrix": {"n": 0, "entries": [["1"]]}},
+        {"ring": GRING, "matrix": {"n": "1", "entries": [["1"]]}},
+        {"ring": GRING, "matrix": {"n": True, "entries": [["1"]]}}]
     for i, doc in enumerate(malformed):
         bad = write(tmp_path, f"bad{i}.json", doc)
         assert main(["sdet", bad]) == 2, doc
@@ -300,7 +309,14 @@ def test_invalid_input_exit_code(tmp_path, capsys, monkeypatch):
          {"ring": ORING, "delta": "epsilon", "element": "a"}),
     ] + [(["embed", "--n", "2"], {"ring": ORING, "delta": delta,
                                   "element": "a"})
-         for delta in ("rho_e", "sigma", {"generator_images": ["a", "b"]})]
+         for delta in ("rho_e", "sigma", {"generator_images": ["a", "b"]})] + [
+        # a spec whose "n" is not T's size, and a generator-image descriptor
+        # with a field that nothing reads
+        (["membership"], {**SPEC, "n": 9, "matrix": MIXED}),
+        (["conditions"], {**SPEC, "n": 1}),
+        (["sample", "--seed", "1"], {**SPEC, "n": "2"}),
+        (["embed", "--n", "2"], {"ring": GRING, "element": "1", "delta": {
+            "generator_images": ["1", "1"], "typo": 1}})]
     for i, (cmd, doc) in enumerate(refused):
         src = write(tmp_path, f"refused{i}.json", doc)
         assert main(cmd[:1] + [src] + cmd[1:]) == 2, (cmd, doc)
@@ -758,13 +774,13 @@ def closed_pipe_run(args, stream):
 @pytest.mark.parametrize("flags", [[], ["-u"]],
                          ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
-    ["example", "5.3", "--n", "3", "--g", "4"], ["sdet", "{file}"]],
-    ids=["example", "sdet"])
+    ["example", "5.3", "--n", "3", "--g", "4"], ["sdet", "{file}"], ["-h"],
+    ["sdet", "-h"]], ids=["example", "sdet", "help", "sdet-help"])
 def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, flags):
-    """A reply written to a pipe whose reader has gone, whether it fails in
-    ``print`` (unbuffered) or at the flush before exit (buffered): exit 2
-    and one JSON error on stderr, with no traceback and no "Exception
-    ignored"."""
+    """A reply or a help text written to a pipe whose reader has gone,
+    whether it fails in the write (unbuffered) or at the flush before exit
+    (buffered): exit 2 and one JSON error on stderr, with no traceback and
+    no "Exception ignored"."""
     argv = [a.replace("{file}", write(tmp_path, "g.json",
                                       {"ring": GRING, "matrix": MIXED}))
             for a in argv]

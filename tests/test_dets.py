@@ -484,6 +484,26 @@ def test_sums_leave_no_reference_cycle(ring):
         assert gc.collect() == 0
 
 
+def test_charpoly_shares_one_r_z_per_ring(monkeypatch):
+    """R[z] is built once per base ring, on first use, and every later
+    charpoly over that ring reads the same one."""
+    built = []
+    init = PolynomialRing.__init__
+
+    def counted(self, base):
+        built.append(base)
+        init(self, base)
+
+    monkeypatch.setattr(PolynomialRing, "__init__", counted)
+    E, A = grassmann_matrix(3, 3, 61)
+    charpoly(A, 1)
+    rz = E.polynomials
+    charpoly(A, 1, side="left")
+    charpoly(A * A, 2)
+    assert E.polynomials is rz and built == [E]
+    assert rz.z.ring is rz and rz.zero == 0 and rz.one == 1
+
+
 def test_map_reduce_sum_adds_nonzero_terms_in_order():
     added = []
 

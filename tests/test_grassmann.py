@@ -173,6 +173,17 @@ def test_component_basis_contains_and_same_span():
     assert not cb.contains(E.one)
     assert cb.same_span(ComponentBasis(E, [v1, v2]))
     assert not cb.same_span(ComponentBasis(E, [v1]))
+    # equal dimension, different spans, meeting or not
+    v3 = E.generator(3)
+    assert not cb.same_span(ComponentBasis(E, [v1, v3]))
+    assert not cb.same_span(ComponentBasis(E, [v3, v1 * v2]))
+    # a basis of dimension 0 contains zero alone
+    empty = ComponentBasis(E, [])
+    assert empty.dim == 0 and empty.contains(E.zero)
+    assert not any(empty.contains(E.basis_element(m)) for m in E.basis_masks())
+    assert not empty.contains(v1 - v2)
+    assert empty.same_span(ComponentBasis(E, []))
+    assert not empty.same_span(ComponentBasis(E, [E.one]))
     with pytest.raises(RingError):
         ComponentBasis(E, [v1, v1 * 2])       # dependent
 

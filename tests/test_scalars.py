@@ -97,13 +97,17 @@ def test_inverse_and_division():
 
 
 def test_primitive_roots():
-    F = CyclotomicField(6)
-    for n in (1, 2, 3, 6):
-        r = F.primitive_root(n)
-        assert r ** n == F.one
-        assert all(r ** k != F.one for k in range(1, n))
+    """In Q(zeta_m), m <= 30, the root for each divisor n of m has order n:
+    its powers first reach one at the n-th."""
+    for order in range(1, 31):
+        F = CyclotomicField(order)
+        for n in (n for n in range(1, order + 1) if order % n == 0):
+            r, acc = F.primitive_root(n), F.one
+            for k in range(1, n + 1):
+                acc = acc * r
+                assert (acc == F.one) == (k == n), (order, n, k)
     with pytest.raises(ScalarError):
-        F.primitive_root(4)
+        CyclotomicField(6).primitive_root(4)
     with pytest.raises(ScalarError):
         QQ.primitive_root(3)
 

@@ -1,5 +1,6 @@
 """Every script in ``scripts/`` starts from any directory without
-``PYTHONPATH``: it finds the package in ``src/`` next to it by itself."""
+``PYTHONPATH``: it finds the package in ``src/`` next to it by itself.  And
+``scripts/mutants.py`` runs: a cheap mutant is reported killed."""
 
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_scripts_are_found():
@@ -23,3 +25,19 @@ def test_script_help_runs_without_pythonpath(script, tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:"), proc.stdout
+
+
+def test_mutants_kills_a_cheap_mutant(tmp_path):
+    """scripts/mutants.py applies a mutant to a copy of src/ and reports it
+    killed by its tests; the checkout's own src/ is left as it was."""
+    script = ROOT / "scripts" / "mutants.py"
+    source = ROOT / "src" / "lienil" / "grassmann.py"
+    before = source.read_bytes()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--only",
+                           "contains_ignores_x"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split()[0] == "killed", proc.stdout
+    assert proc.stdout.split()[-1] == "contains_ignores_x", proc.stdout
+    assert source.read_bytes() == before
