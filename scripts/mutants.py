@@ -8,14 +8,17 @@ replaces the old text, which must occur exactly once, by the new one, and
 runs the mutant's pytest selection against that copy (``-o pythonpath``
 points the tests, and the fresh interpreters some of them start, at the
 copy).  The mutant is killed if a selected test fails, and it survived if
-all of them pass.  One line per mutant gives the verdict, the seconds the
-run took and the name.
+all of them pass.  Each distinct selection first runs once on an unchanged
+copy and must pass there: a test that fails in the copy for another reason
+would otherwise count as a kill.  One line per mutant gives the verdict,
+the seconds the run took and the name.
 
 Exit status: 0 if every mutant was killed, 1 if one survived, 2 if a
 mutant could not be applied or its run did not complete as a test run
-(no test collected, a usage error, a timeout).
+(no test collected, a usage error, a timeout), or if its selection does
+not pass on the unchanged copy.
 
-Usage: python3 scripts/mutants.py [--only NAME ...] [--list]
+Usage: python3 scripts/mutants.py [--only NAME ...]
 """
 
 import argparse
@@ -80,17 +83,16 @@ def apply(src, file, old, new):
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def run(mutant):
-    """(verdict, seconds): "killed", "survived" or "error: ..."."""
-    name, file, old, new, selection = mutant
+def run(selection, edit=None):
+    """(pytest exit code, seconds) of selection against a copy of src/,
+    with edit = (file, old, new) applied to the copy first; the code is
+    None if the run timed out.  Raises ValueError if edit cannot apply."""
     with tempfile.TemporaryDirectory(prefix="lienil-mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        try:
-            apply(src, file, old, new)
-        except ValueError as exc:
-            return f"error: {exc}", 0.0
+        if edit:
+            apply(src, *edit)
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         env.pop("PYTHONPATH", None)
         t0 = time.perf_counter()
@@ -101,11 +103,30 @@ def run(mutant):
                 + selection, cwd=ROOT, env=env, capture_output=True,
                 text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return f"error: no verdict in {TIMEOUT_S} s", TIMEOUT_S
-        seconds = time.perf_counter() - t0
-    verdict = {0: "survived", 1: "killed"}.get(
-        proc.returncode, f"error: pytest exit {proc.returncode}")
-    return verdict, seconds
+            return None, TIMEOUT_S
+        return proc.returncode, time.perf_counter() - t0
+
+
+def judge(mutant, baseline):
+    """(verdict, seconds): "killed", "survived" or "error: ...".  baseline
+    is the exit code of the mutant's selection on an unchanged copy: a
+    selection that does not pass there cannot tell the mutant apart."""
+    name, file, old, new, selection = mutant
+    if baseline != 0:
+        return f"error: the unchanged copy gives {describe(baseline)}", 0.0
+    try:
+        code, seconds = run(selection, (file, old, new))
+    except ValueError as exc:
+        return f"error: {exc}", 0.0
+    if code in (0, 1):
+        return ("survived", "killed")[code], seconds
+    return f"error: {describe(code)}", seconds
+
+
+def describe(code):
+    if code is None:
+        return f"no verdict in {TIMEOUT_S} s"
+    return f"pytest exit {code}"
 
 
 def main(argv=None):
@@ -113,16 +134,15 @@ def main(argv=None):
     parser.add_argument("--only", nargs="+", metavar="NAME",
                         choices=[m[0] for m in MUTANTS],
                         help="run only these mutants")
-    parser.add_argument("--list", action="store_true",
-                        help="print the mutant names and exit")
     args = parser.parse_args(argv)
-    if args.list:
-        print("\n".join(m[0] for m in MUTANTS))
-        return 0
     chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
+    baselines = {}
     status = 0
     for mutant in chosen:
-        verdict, seconds = run(mutant)
+        selection = tuple(mutant[4])
+        if selection not in baselines:
+            baselines[selection] = run(list(selection))[0]
+        verdict, seconds = judge(mutant, baselines[selection])
         print(f"{verdict:<9} {seconds:6.1f} s  {mutant[0]}", flush=True)
         if verdict == "survived":
             status = max(status, 1)

@@ -464,12 +464,12 @@ def test_half_products_match_oracles_over_rz():
 
 @pytest.mark.parametrize("ring", ["grassmann", "oracle"])
 def test_sums_leave_no_reference_cycle(ring):
-    """The table and the sums of a call are freed when it returns, and the
-    R[z] that charpoly builds holds no element that points back at it: the
-    cyclic collector finds nothing after sdet, preadjoint, rdet, charpoly,
-    the Cayley-Hamilton residual or an integrality certificate (the last
-    two over E only: over the 4x4 symbolic matrix the residual at k = 2
-    runs for minutes)."""
+    """The table and the sums of a call are freed when it returns, and
+    charpoly reuses ring.polynomials, so a call builds no new R[z] and
+    leaves no cycle behind: the cyclic collector finds nothing after sdet,
+    preadjoint, rdet, charpoly, the Cayley-Hamilton residual or an
+    integrality certificate (the last two over E only: over the 4x4
+    symbolic matrix the residual at k = 2 runs for minutes)."""
     calls = [sdet, preadjoint, lambda A: rdet(A, 2), lambda A: charpoly(A, 1)]
     if ring == "grassmann":
         E, A = grassmann_matrix(4, 4, 46)

@@ -1,7 +1,9 @@
 """Every script in ``scripts/`` starts from any directory without
 ``PYTHONPATH``: it finds the package in ``src/`` next to it by itself.  And
-``scripts/mutants.py`` runs: a cheap mutant is reported killed."""
+``scripts/mutants.py`` runs: a cheap mutant is reported killed, and a
+selection that fails without the mutant is reported as an error."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -41,3 +43,28 @@ def test_mutants_kills_a_cheap_mutant(tmp_path):
     assert proc.stdout.split()[0] == "killed", proc.stdout
     assert proc.stdout.split()[-1] == "contains_ignores_x", proc.stdout
     assert source.read_bytes() == before
+
+
+def test_mutants_refuses_a_selection_failing_without_the_mutant(
+        tmp_path, monkeypatch, capsys):
+    """A test that fails on the unchanged copy for a reason of its own (here
+    it asks that lienil be imported from the checkout) cannot kill a mutant:
+    the mutant is reported as an error and the script exits 2."""
+    test = tmp_path / "test_checkout_only.py"
+    test.write_text(
+        "import lienil\n\n\n"
+        "def test_imported_from_the_checkout():\n"
+        f"    assert lienil.__file__.startswith({str(ROOT / 'src')!r})\n",
+        encoding="utf-8")
+    spec = importlib.util.spec_from_file_location(
+        "mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    name, file, old, new, _ = next(
+        m for m in mutants.MUTANTS if m[0] == "contains_ignores_x")
+    monkeypatch.setattr(mutants, "MUTANTS",
+                        [(name, file, old, new, [str(test)])])
+    assert mutants.main(["--only", name]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: the unchanged copy gives pytest exit 1"), out
+    assert out.split()[-1] == name, out
