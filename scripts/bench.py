@@ -44,7 +44,11 @@ transitive 6 x 6 matrix of g = 5 units over Q(i) to 12 x 12 and its
 square (``blowup_square_g5_12``), with the ``GrassmannAlgebra.dot`` calls
 of the square (the blow-up's transitivity check multiplies through
 ``GrassmannElement.__mul__`` and is not counted).  Each is the best of
-three calls in this interpreter.
+three calls in this interpreter.  Next to it is the KB that one output
+keeps alive: tracemalloc's traced bytes after one more call, less those
+before it, with the output held and the garbage collected.  The timed
+calls come first, so the tables that every call shares (a field's values,
+an algebra's monomials) are already filled.
 
 The oracle section prints the wall seconds of acceptance criterion 3
 (``sdet = n! det`` and ``A* = (n-1)! adj`` on symbolic n = 2, 3, 4) and
@@ -63,7 +67,13 @@ units over Q(zeta3)), ``embed --n 3`` (a seeded element of that ring under
 ``rho_e:3``), ``integrality --n 2 --k 2`` (a seeded g = 4 element over Q
 under ``epsilon``) and ``sample --seed 1`` (the spec of example 5.1 at
 n = 2, d = 1, g = 4).  The runs alternate, so drift in the machine's load
-reaches all of them alike.
+reaches all of them alike.  Before them it prints whether the child
+interpreters write bytecode (``PYTHONDONTWRITEBYTECODE`` or ``-B``), and
+how many of the package's modules have bytecode in
+``src/lienil/__pycache__`` that is current (its header matches the
+source's size and mtime), stale or missing: a cold start that compiles
+every module costs more than one that reads current bytecode, so two
+checkouts compare only in the same state.
 Under each request it names the lienil modules the request loads, read
 from one more run under ``-X importtime`` (``lienil.cli``, which runs as
 ``__main__``, is added to them), with their source lines: the code a cold
@@ -80,6 +90,8 @@ labels it already holds, with the host they were measured on.
 """
 
 import argparse
+import gc
+import importlib.util
 import json
 import os
 import platform
@@ -89,6 +101,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -365,10 +378,25 @@ def _construct_counts(fn):
     return solves, dots
 
 
+def _kept_kb(fn):
+    """The KB of traced memory that one output of fn() keeps alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del out
+    return kept / 1024
+
+
 def construct_cases():
     """Best-of-DET_REPEATS milliseconds of two shapes and one blow-up
-    square, and (count, unit): the solves of each shape and the dots of
-    the square."""
+    square, (count, unit): the solves of each shape and the dots of the
+    square, and the KB one output of each keeps."""
     F = CyclotomicField(4)
     cases = [(f"shape_5_2_n{n}_g{g}", "solves",
               lambda spec=example_5_2(n, g, field=F): shape(spec))
@@ -384,7 +412,7 @@ def construct_cases():
     cuts = sorted(rng.sample(range(1, m), n - 1)) + [m]
     cases.append((f"blowup_square_g{g}_{m}", "dots",
                   lambda: transitive_square(blow_up(T, cuts))))
-    out, counts = {}, {}
+    out, counts, kept = {}, {}, {}
     for label, unit, fn in cases:
         best = float("inf")
         for _ in range(DET_REPEATS):
@@ -394,7 +422,8 @@ def construct_cases():
         out[label] = best * 1e3
         counts[label] = (dict(zip(("solves", "dots"),
                                   _construct_counts(fn)))[unit], unit)
-    return out, counts
+        kept[label] = _kept_kb(fn)
+    return out, counts, kept
 
 
 def oracle_cases():
@@ -452,6 +481,32 @@ def _cold_kind_docs():
         "sample": (["sample"], ["--seed", "1"],
                    serialize.spec_to_json(example_5_1(2, 1, 4))),
     }
+
+
+def bytecode_state(env):
+    """{"writes": whether a child interpreter under env writes bytecode,
+    "current"/"stale"/"missing": the package modules whose bytecode in
+    src/lienil/__pycache__ matches the source, does not, or is absent}."""
+    writes = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    state = {"writes": writes.strip() == "False", "current": 0, "stale": 0,
+             "missing": 0}
+    for source in sorted((Path(SRC) / "lienil").glob("*.py")):
+        cached = Path(importlib.util.cache_from_source(str(source)))
+        if not cached.exists():
+            state["missing"] += 1
+            continue
+        st = source.stat()
+        header = cached.read_bytes()[:16]
+        current = (header[:4] == importlib.util.MAGIC_NUMBER
+                   and int.from_bytes(header[4:8], "little") == 0
+                   and int.from_bytes(header[8:12], "little")
+                   == int(st.st_mtime) & 0xFFFFFFFF
+                   and int.from_bytes(header[12:16], "little")
+                   == st.st_size & 0xFFFFFFFF)
+        state["current" if current else "stale"] += 1
+    return state
 
 
 def cold_start_cases():
@@ -538,13 +593,18 @@ def main(argv=None):
                  else "")
         print(f"{name:<24} {value:9.1f} ms  {det_muls[name]} multiplies"
               f"{items}")
-    construct_ms, construct_counts = construct_cases()
+    construct_ms, construct_counts, construct_kb = construct_cases()
     for name, value in construct_ms.items():
         count, unit = construct_counts[name]
-        print(f"{name:<24} {value:9.1f} ms  {count} {unit}")
+        print(f"{name:<24} {value:9.1f} ms  {count} {unit}"
+              f"  {construct_kb[name]:.1f} KB kept")
     oracle = oracle_cases()
     for name, value in oracle.items():
         print(f"{name:<24} {value:9.3f} {name.rsplit('_', 1)[1]}")
+    bytecode = bytecode_state(dict(os.environ, PYTHONPATH=SRC))
+    print(f"{'cold_bytecode':<24} writes={bytecode['writes']}  "
+          f"src/lienil/__pycache__: {bytecode['current']} current, "
+          f"{bytecode['stale']} stale, {bytecode['missing']} missing")
     cold, modules = cold_start_cases()
     for name, value in cold.items():
         print(f"{name:<24} {value:9.1f} ms")
@@ -570,7 +630,10 @@ def main(argv=None):
             "dets_sum_items": det_items,
             "construct_ms": {k: round(v, 1) for k, v in construct_ms.items()},
             "construct_counts": construct_counts,
+            "construct_kept_kb": {k: round(v, 2)
+                                  for k, v in construct_kb.items()},
             "oracle": {k: round(v, 3) for k, v in oracle.items()},
+            "cold_bytecode": bytecode,
             "cold_start_ms": {k: round(v, 1) for k, v in cold.items()},
             "cold_lienil_modules": modules,
             "reproduce_all_s": round(reproduce_all_s, 2)}

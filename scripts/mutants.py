@@ -70,6 +70,17 @@ MUTANTS = [
     ("pair_sums_head_tail_swapped", "dets.py",
      "terms.append((head, tail,", "terms.append((tail, head,",
      ["tests/test_dets.py::test_preadjoint_is_scaled_adjugate_commutative"]),
+    # The elimination's zero skip keyed on the wrong operand: a row update
+    # keeps a zero entry where it should subtract f times the pivot row.
+    ("rref_skip_keyed_on_x", "linalg.py",
+     "x - f * y if y else x", "x - f * y if x else x",
+     ["tests/test_grassmann.py::test_elimination_skips_products_with_a_zero"]),
+    # The algebra table keyed by g alone: GrassmannAlgebra(4, Q(zeta3))
+    # would hand back the algebra over Q built first.
+    ("algebra_table_keyed_by_g", "grassmann.py",
+     "key = (g, field)", "key = g",
+     ["tests/test_grassmann.py::"
+      "test_one_algebra_and_one_monomial_per_g_and_field"]),
 ]
 
 

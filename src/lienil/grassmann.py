@@ -40,17 +40,35 @@ def _hops(a):
     return hops
 
 
-class GrassmannAlgebra(Ring):
-    """E on generators v_1..v_g over a scalar field (default Q)."""
+_ALGEBRAS = {}              # (g, field) -> the one GrassmannAlgebra of them
 
-    def __init__(self, g, field=QQ):
+
+class GrassmannAlgebra(Ring):
+    """E on generators v_1..v_g over a scalar field (default Q): one
+    instance per (g, field), as a field is one instance per order.  The
+    instance owns its zero, its one, its R[z] and its monomials, each
+    built once: ``basis_element(mask)`` fills a table on first use, so
+    every caller shares one element per monomial."""
+
+    def __new__(cls, g, field=QQ):
+        key = (g, field)
+        algebra = _ALGEBRAS.get(key)
+        if algebra is not None:
+            return algebra
         if not 0 <= g <= 64:
             raise RingError("generator count must be between 0 and 64")
-        self.g = g
-        self.field = field
-        self.params = (g, field)
-        self.zero = GrassmannElement(self, {})
-        self.one = self.from_scalar(1)
+        algebra = super().__new__(cls)
+        algebra.g = g
+        algebra.field = field
+        algebra.params = (g, field)
+        algebra.zero = GrassmannElement(algebra, {})
+        algebra.one = algebra.from_scalar(1)
+        algebra._monomials = {}
+        _ALGEBRAS[key] = algebra
+        return algebra
+
+    def __reduce__(self):
+        return GrassmannAlgebra, self.params
 
     def __repr__(self):
         return f"GrassmannAlgebra(g={self.g}, field={self.field!r})"
@@ -84,7 +102,11 @@ class GrassmannAlgebra(Ring):
         return [self.generator(i) for i in range(1, self.g + 1)]
 
     def basis_element(self, mask):
-        return self.element({mask: 1})
+        """The monomial of ``mask`` with coefficient 1, shared."""
+        x = self._monomials.get(mask)
+        if x is None:
+            x = self._monomials[mask] = self.element({mask: 1})
+        return x
 
     def basis_masks(self):
         return range(self.dim)
@@ -179,8 +201,7 @@ class GrassmannAlgebra(Ring):
         per nonzero output monomial.  A sum that cancels is ``self.zero``."""
         work, L = [], 1
         for x, y, negate in terms:
-            if (x.ring is not self and x.ring != self
-                    or y.ring is not self and y.ring != self):
+            if x.ring is not self or y.ring is not self:
                 raise ContextMismatchError(
                     f"dot over {self!r} of elements of {x.ring!r}, {y.ring!r}")
             if x.coeffs and y.coeffs:
@@ -437,7 +458,9 @@ def graded_component_basis(algebra, m, n):
 
 def solve_constraint(delta, t):
     """Basis of {x in E : delta(x) = t*x}, by exact Gaussian elimination on
-    the 2^g x 2^g matrix of the K-linear map x -> delta(x) - t*x."""
+    the 2^g x 2^g matrix of the K-linear map x -> delta(x) - t*x.  A kernel
+    vector that is 1 on one monomial, as every one is under epsilon or rho,
+    is the algebra's shared basis element."""
     from . import linalg
     algebra = delta.ring
     if not isinstance(algebra, GrassmannAlgebra):
@@ -453,5 +476,11 @@ def solve_constraint(delta, t):
         cols.append(algebra.coordinates(delta(b) - t * b))
     rows = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     kernel = linalg.kernel_basis(rows, dim, algebra.field)
-    basis = [algebra.element({m: v[m] for m in range(dim) if v[m]}) for v in kernel]
+    basis = []
+    for v in kernel:
+        coeffs = {m: c for m, c in enumerate(v) if c}
+        if len(coeffs) == 1 and algebra.field.one in coeffs.values():
+            basis.append(algebra.basis_element(*coeffs))
+        else:
+            basis.append(algebra.element(coeffs))
     return ComponentBasis(algebra, basis)

@@ -3,7 +3,9 @@
 Vectors are lists of ``scalars.Cyc`` elements (integer numerators over a
 common denominator in Q(zeta_n)); each pivot is inverted once through the
 Galois norm.  Arithmetic is exact, so no pivoting strategy beyond "first
-nonzero" is needed.
+nonzero" is needed.  A row update skips every product with a zero entry, so
+a sparse system, such as the diagonal one of a constraint under epsilon or
+rho, costs truthiness tests where it would cost scalar products.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ def _rref(rows, ncols):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x
+                           for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):

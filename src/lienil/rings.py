@@ -111,9 +111,12 @@ class RingElement:
 
 class Ring:
     """Base contract: unital ring over a scalar field, with exact equality.
-    A subclass sets, in ``__init__``, ``params`` (the tuple that rings of
-    its type compare and hash by) and gives one shared ``zero`` and
-    ``one``.  It defines ``from_scalar(c)`` (embed a field scalar, int or
+    A subclass sets ``params`` (the tuple that rings of its type compare
+    and hash by) and gives one shared ``zero`` and ``one``.  The Grassmann
+    algebra sets them in ``__new__``: like a field, it is one instance per
+    parameters, (g, field), and it owns its monomials; the other rings set
+    them in ``__init__``, so two built apart are equal, distinct objects.
+    It defines ``from_scalar(c)`` (embed a field scalar, int or
     Fraction).  ``dot(terms)``, the sum of x y, or -(x y) where ``negate``
     is set, over the (x, y, negate) in ``terms``, refuses an operand of
     another ring; here it adds the products left to right from ``zero``.

@@ -21,8 +21,10 @@ class SuperMatrixError(RingError):
 
 # A shape solves one constraint, a 2^g x 2^g system, per distinct entry of
 # T; the cap bounds n^2 4^g, the work when all n^2 entries differ.  It
-# admits `example 5.3 --n 100 --g 4`, which solves 3 constraints in about
-# 1.3 s, and `example 5.2 --n 2 --g 10`, 2 in about 3.2 s.
+# admits `example 5.3 --n 100 --g 4`, about 2 s cold, of which its 3
+# solves take 0.1 s and writing the 10^4 cells the rest, and
+# `example 5.2 --n 2 --g 10`, about 3 s cold, nearly all in its 2 solves
+# (CPython 3.11 on one core of a 2-core x86-64 VM).
 MAX_SHAPE_WORK = 2 ** 22
 
 

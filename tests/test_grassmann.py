@@ -1,5 +1,6 @@
 """Grassmann algebra arithmetic, automorphisms, gradings, and the solver."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from lienil import (ComponentBasis, ContextMismatchError, CyclotomicField,
                     Endomorphism, GrassmannAlgebra, QQ, RingError, epsilon,
-                    graded_component_basis, rho, sigma, solve_constraint)
-from lienil.grassmann import GrassmannElement, _hops
+                    graded_component_basis, linalg, rho, sigma,
+                    solve_constraint)
+from lienil.grassmann import (GrassmannElement, _hops,
+                              endomorphism_from_generator_images)
 from lienil.scalars import SHARED_VALUES, Cyc
 
 
@@ -212,6 +215,97 @@ def test_solve_constraint_sigma_fixed_ring():
     assert fixed.same_span(expected)
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_one_algebra_and_one_monomial_per_g_and_field(order):
+    """GrassmannAlgebra(g, F) is one object per (g, F), through pickling
+    too; unequal (g, F) give distinct objects; each monomial's basis
+    element is built once and shared."""
+    F = CyclotomicField(order)
+    E = GrassmannAlgebra(4, F)
+    assert E is GrassmannAlgebra(4, F) and E.field is F and E.g == 4
+    assert pickle.loads(pickle.dumps(E)) is E
+    others = [GrassmannAlgebra(3, F), GrassmannAlgebra(5, F),
+              GrassmannAlgebra(4, CyclotomicField(4 if order == 3 else 3))]
+    for other in others:
+        assert other is not E and other != E, other
+    for m in E.basis_masks():
+        b = E.basis_element(m)
+        assert b is E.basis_element(m) and b == E.element({m: 1})
+    with pytest.raises(RingError):
+        E.basis_element(1 << 4)
+
+
+def constraint_rows(delta, t):
+    """The rows of the 2^g x 2^g matrix of x -> delta(x) - t x, as
+    ``solve_constraint`` eliminates it."""
+    E = delta.ring
+    cols = [E.coordinates(delta(b) - t * b)
+            for b in map(E.basis_element, E.basis_masks())]
+    return [list(row) for row in zip(*cols)]
+
+
+def plain_kernel_and_rank(rows, ncols, field):
+    """Gauss-Jordan elimination that makes every product, zero or not:
+    the kernel basis (one vector per free column, 1 there) and the rank."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [field.zero] * ncols
+            vec[f] = field.one
+            for r, p in enumerate(pivots):
+                vec[p] = -rows[r][f]
+            kernel.append(vec)
+    return kernel, len(pivots)
+
+
+@pytest.mark.parametrize("automorphism", ["rho", "images"])
+def test_elimination_skips_products_with_a_zero(monkeypatch, automorphism):
+    """On the constraint system of delta - e at g = 5 over Q(zeta3),
+    ``linalg.kernel_basis`` and ``linalg.rank`` multiply no zero ``Cyc``
+    and agree with a plain elimination.  Under rho the system is diagonal;
+    under v_i -> e v_(i+1) + v1 v2 v_i it is not, so rows are updated."""
+    F = CyclotomicField(3)
+    E = GrassmannAlgebra(5, F)
+    if automorphism == "rho":
+        delta = rho(E, F.e)
+    else:
+        v = E.generators
+        delta = endomorphism_from_generator_images(
+            E, [v[(i + 1) % 5] * F.e + v[0] * v[1] * v[i] for i in range(5)])
+    rows = constraint_rows(delta, E.from_scalar(F.e))
+    kernel, rank = plain_kernel_and_rank(rows, E.dim, F)
+    zeros, products = [], []
+    mul = Cyc.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        if not a or not b:
+            zeros.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    assert linalg.kernel_basis(rows, E.dim, F) == kernel
+    assert linalg.rank(rows, E.dim) == rank
+    monkeypatch.undo()
+    assert products and zeros == []
+    assert 0 < rank < E.dim
+
+
 def test_solver_cap():
     E = GrassmannAlgebra(13, QQ)        # one generator over SOLVER_CAP
     with pytest.raises(RingError):
@@ -383,11 +477,12 @@ def test_dot_matches_sum_of_products(order, g, kinds, seed):
 
 @pytest.mark.parametrize("order", [1, 3, 4])
 def test_dot_shares_zero_and_checks_rings(order):
-    """A sum that cancels is ``E.zero`` itself.  Elements of an equal
-    algebra built apart are summed, as ``*`` multiplies them; elements of
-    another algebra are refused on either side."""
+    """A sum that cancels is ``E.zero`` itself.  An algebra built again is
+    the same object, so its elements are summed, as ``*`` multiplies them;
+    elements of another algebra are refused on either side."""
     field = CyclotomicField(order)
     E, twin = GrassmannAlgebra(3, field), GrassmannAlgebra(3, field)
+    assert twin is E
     e = field.e
     x = E.element({0: Fraction(1, 2), 0b001: e, 0b110: Fraction(-2, 3)})
     y = twin.element({0: 3, 0b010: Fraction(5, 6) * e, 0b101: 1})

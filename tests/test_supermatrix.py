@@ -192,6 +192,22 @@ def test_example_5_1_shape():
             assert grid[i][j].same_span(expected)
 
 
+@pytest.mark.parametrize("build", [lambda: example_5_2(3, 4),
+                                   lambda: example_5_1(3, 1, 4)],
+                         ids=["5.2", "5.1"])
+def test_rho_and_epsilon_shapes_hold_the_shared_monomials(build):
+    """Under rho and epsilon every constraint basis vector is one monomial
+    with coefficient 1, and the shape hands out the algebra's own basis
+    element for it rather than a copy."""
+    spec = build()
+    E = spec.ring
+    for row in shape(spec):
+        for cb in row:
+            for b in cb.basis:
+                [mask] = b.coeffs
+                assert b is E.basis_element(mask)
+
+
 def count_solves(monkeypatch):
     """A list that gains the entry t of every solve that ``shape`` makes."""
     import lienil.supermatrix as sm
