@@ -67,18 +67,16 @@ units over Q(zeta3)), ``embed --n 3`` (a seeded element of that ring under
 ``rho_e:3``), ``integrality --n 2 --k 2`` (a seeded g = 4 element over Q
 under ``epsilon``) and ``sample --seed 1`` (the spec of example 5.1 at
 n = 2, d = 1, g = 4).  The runs alternate, so drift in the machine's load
-reaches all of them alike.  Before them it prints whether the child
-interpreters write bytecode (``PYTHONDONTWRITEBYTECODE`` or ``-B``), and
-how many of the package's modules have bytecode in
-``src/lienil/__pycache__`` that is current (its header matches the
-source's size and mtime), stale or missing: a cold start that compiles
-every module costs more than one that reads current bytecode, so two
-checkouts compare only in the same state.
+reaches all of them alike.  Each child imports a copy of the package
+made without its ``__pycache__`` and writes no bytecode, so every cold
+start compiles lienil from source, whatever bytecode the checkout holds,
+and two checkouts compare in the same state.
 Under each request it names the lienil modules the request loads, read
 from one more run under ``-X importtime`` (``lienil.cli``, which runs as
 ``__main__``, is added to them), with their source lines: the code a cold
 request compiles when no bytecode is cached.  Last, ``reproduce_all_s``
 is the median wall seconds of three cold ``reproduce-all --report`` runs,
+started the same way,
 each checked to exit 0 and write ``tests/data/reproduce_all_report.json``'s
 bytes.
 
@@ -91,11 +89,11 @@ labels it already holds, with the host they were measured on.
 
 import argparse
 import gc
-import importlib.util
 import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -483,38 +481,21 @@ def _cold_kind_docs():
     }
 
 
-def bytecode_state(env):
-    """{"writes": whether a child interpreter under env writes bytecode,
-    "current"/"stale"/"missing": the package modules whose bytecode in
-    src/lienil/__pycache__ matches the source, does not, or is absent}."""
-    writes = subprocess.run(
-        [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
-        env=env, check=True, capture_output=True, text=True).stdout
-    state = {"writes": writes.strip() == "False", "current": 0, "stale": 0,
-             "missing": 0}
-    for source in sorted((Path(SRC) / "lienil").glob("*.py")):
-        cached = Path(importlib.util.cache_from_source(str(source)))
-        if not cached.exists():
-            state["missing"] += 1
-            continue
-        st = source.stat()
-        header = cached.read_bytes()[:16]
-        current = (header[:4] == importlib.util.MAGIC_NUMBER
-                   and int.from_bytes(header[4:8], "little") == 0
-                   and int.from_bytes(header[8:12], "little")
-                   == int(st.st_mtime) & 0xFFFFFFFF
-                   and int.from_bytes(header[12:16], "little")
-                   == st.st_size & 0xFFFFFFFF)
-        state["current" if current else "stale"] += 1
-    return state
+def _cold_env(tmp):
+    """The environment of a cold child: it imports a copy of src/lienil in
+    tmp, made without __pycache__, and writes no bytecode."""
+    src = Path(tmp) / "src"
+    shutil.copytree(Path(SRC) / "lienil", src / "lienil",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
 
 
 def cold_start_cases():
     """Median wall milliseconds of fresh interpreters, and the lienil
     modules each request loads with their source lines (see the
     docstring)."""
-    env = dict(os.environ, PYTHONPATH=SRC)
     with tempfile.TemporaryDirectory() as tmp:
+        env = _cold_env(tmp)
         requests = {}                     # name -> (argv, exit code)
         for name, doc in COLD_DOCS.items():
             path = os.path.join(tmp, name + ".json")
@@ -552,11 +533,11 @@ def cold_start_cases():
 def reproduce_all_case():
     """Median wall seconds of cold ``reproduce-all --report`` runs, each
     checked against the committed report."""
-    env = dict(os.environ, PYTHONPATH=SRC)
     golden = (ROOT / "tests" / "data" / "reproduce_all_report.json"
               ).read_bytes()
     walls = []
     with tempfile.TemporaryDirectory() as tmp:
+        env = _cold_env(tmp)
         report = Path(tmp) / "report.json"
         for _ in range(REPRODUCE_ALL_REPEATS):
             t0 = time.perf_counter()
@@ -601,10 +582,6 @@ def main(argv=None):
     oracle = oracle_cases()
     for name, value in oracle.items():
         print(f"{name:<24} {value:9.3f} {name.rsplit('_', 1)[1]}")
-    bytecode = bytecode_state(dict(os.environ, PYTHONPATH=SRC))
-    print(f"{'cold_bytecode':<24} writes={bytecode['writes']}  "
-          f"src/lienil/__pycache__: {bytecode['current']} current, "
-          f"{bytecode['stale']} stale, {bytecode['missing']} missing")
     cold, modules = cold_start_cases()
     for name, value in cold.items():
         print(f"{name:<24} {value:9.1f} ms")
@@ -633,7 +610,6 @@ def main(argv=None):
             "construct_kept_kb": {k: round(v, 2)
                                   for k, v in construct_kb.items()},
             "oracle": {k: round(v, 3) for k, v in oracle.items()},
-            "cold_bytecode": bytecode,
             "cold_start_ms": {k: round(v, 1) for k, v in cold.items()},
             "cold_lienil_modules": modules,
             "reproduce_all_s": round(reproduce_all_s, 2)}

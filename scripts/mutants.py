@@ -81,6 +81,17 @@ MUTANTS = [
      "key = (g, field)", "key = g",
      ["tests/test_grassmann.py::"
       "test_one_algebra_and_one_monomial_per_g_and_field"]),
+    # A table that holds its algebras for the life of the process.
+    ("algebra_table_holds_strongly", "grassmann.py",
+     "_ALGEBRAS = weakref.WeakValueDictionary()", "_ALGEBRAS = {}",
+     ["tests/test_grassmann.py::test_an_algebra_nothing_holds_is_freed"]),
+    # The solver copies each monomial where it should hand out the
+    # algebra's own basis element, so a shape keeps 2^g new elements.
+    ("solver_copies_monomials", "grassmann.py",
+     "basis.append(algebra.basis_element(*coeffs))",
+     "basis.append(algebra.element(coeffs))",
+     ["tests/test_supermatrix.py::"
+      "test_rho_and_epsilon_shapes_hold_the_shared_monomials"]),
 ]
 
 

@@ -17,6 +17,7 @@ that computes bases of {x : delta(x) = t*x} by exact elimination.
 
 from __future__ import annotations
 
+import weakref
 from math import lcm
 
 from .rings import (SCALARS, ContextMismatchError, CostCapError,
@@ -40,23 +41,25 @@ def _hops(a):
     return hops
 
 
-_ALGEBRAS = {}              # (g, field) -> the one GrassmannAlgebra of them
+# (g, field) -> the one GrassmannAlgebra of them, while anything holds it
+_ALGEBRAS = weakref.WeakValueDictionary()
 
 
 class GrassmannAlgebra(Ring):
     """E on generators v_1..v_g over a scalar field (default Q): one
-    instance per (g, field), as a field is one instance per order.  The
-    instance owns its zero, its one, its R[z] and its monomials, each
-    built once: ``basis_element(mask)`` fills a table on first use, so
-    every caller shares one element per monomial."""
+    instance per (g, field) while anything holds it, as a field is one
+    instance per order.  The instance owns its zero, its one, its R[z] and
+    its monomials, each built once: ``basis_element(mask)`` fills a table
+    on first use, so every caller shares one element per monomial."""
 
     def __new__(cls, g, field=QQ):
+        if type(g) is not int or not 0 <= g <= 64:
+            raise RingError("generator count must be an integer between "
+                            "0 and 64")
         key = (g, field)
         algebra = _ALGEBRAS.get(key)
         if algebra is not None:
             return algebra
-        if not 0 <= g <= 64:
-            raise RingError("generator count must be between 0 and 64")
         algebra = super().__new__(cls)
         algebra.g = g
         algebra.field = field

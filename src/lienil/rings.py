@@ -114,12 +114,13 @@ class Ring:
     A subclass sets ``params`` (the tuple that rings of its type compare
     and hash by) and gives one shared ``zero`` and ``one``.  The Grassmann
     algebra sets them in ``__new__``: like a field, it is one instance per
-    parameters, (g, field), and it owns its monomials; the other rings set
-    them in ``__init__``, so two built apart are equal, distinct objects.
-    It defines ``from_scalar(c)`` (embed a field scalar, int or
-    Fraction).  ``dot(terms)``, the sum of x y, or -(x y) where ``negate``
-    is set, over the (x, y, negate) in ``terms``, refuses an operand of
-    another ring; here it adds the products left to right from ``zero``.
+    parameters, (g, field), while anything holds it, and it owns its
+    monomials; the other rings set them in ``__init__``, so two built
+    apart are equal, distinct objects.  It defines ``from_scalar(c)``
+    (embed a field scalar, int or Fraction).  ``dot(terms)``, the sum of
+    x y, or -(x y) where ``negate`` is set, over the (x, y, negate) in
+    ``terms``, refuses an operand of another ring; here it adds the
+    products left to right from ``zero``.
     The rings that matrices and supermatrix specs are built over, the
     Grassmann algebra and the oracle, also define ``is_central(x)``,
     ``try_invert(x)`` (the inverse, or None if x is not a unit or it is

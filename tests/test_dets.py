@@ -486,9 +486,9 @@ def test_sums_leave_no_reference_cycle(ring):
 
 def test_charpoly_shares_one_r_z_per_ring(monkeypatch):
     """R[z] is built once per base ring, on first use, and every later
-    charpoly over that ring reads the same one.  The algebra is one object
-    for the whole process, so an earlier test may have built its R[z]
-    already: the test drops that one first."""
+    charpoly over that ring reads the same one.  The algebra is shared
+    while anything holds it, so one that an earlier test built may still
+    hold its R[z]: the test drops that one first."""
     built = []
     init = PolynomialRing.__init__
 

@@ -1,7 +1,9 @@
 """Grassmann algebra arithmetic, automorphisms, gradings, and the solver."""
 
+import gc
 import pickle
 import random
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -233,6 +235,28 @@ def test_one_algebra_and_one_monomial_per_g_and_field(order):
         assert b is E.basis_element(m) and b == E.element({m: 1})
     with pytest.raises(RingError):
         E.basis_element(1 << 4)
+
+
+@pytest.mark.parametrize("g", [True, 1.0, -1, 65])
+def test_algebra_refuses_a_generator_count_that_is_not_an_int(g):
+    """A bool or a float equal to 1 is refused before the algebra table is
+    read, so it can neither build the algebra of g = 1 nor be handed it."""
+    with pytest.raises(RingError):
+        GrassmannAlgebra(g, CyclotomicField(7))
+    E = GrassmannAlgebra(1, CyclotomicField(7))
+    assert type(E.g) is int and E.dim == 2
+
+
+def test_an_algebra_nothing_holds_is_freed():
+    """The table holds its algebras weakly: one that no caller holds is
+    collected with its monomials, and a later call builds it again."""
+    E = GrassmannAlgebra(11, CyclotomicField(11))
+    E.basis_element(5)
+    ref = weakref.ref(E)
+    del E
+    gc.collect()
+    assert ref() is None
+    assert GrassmannAlgebra(11, CyclotomicField(11)).g == 11
 
 
 def constraint_rows(delta, t):
